@@ -23,7 +23,7 @@ from .errors import (
     SizeGuardError,
     WrongClassError,
 )
-from .graph import Graph, is_dominating, iter_bits, mask_of, require_connected
+from .graph import Graph, is_dominating, iter_bits, mask_of, require_connected, vertices_of
 from .recognition import DominatingPair, find_dominating_pair, is_chordal_dp_graph
 
 BRUTEFORCE_DEFAULT_BOUND = 14
@@ -300,17 +300,40 @@ def _run_searches(g: Graph, tasks, cap: int, jobs: int):
 # -- isometric domination -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# Bounded: a graph is rarely solved twice in a row, and every entry pins the
+# graph's distance and interval tables.
+@lru_cache(maxsize=8)
 def _small_idset(g: Graph) -> tuple[int, int] | None:
-    """First isometric dominating set of size at most 4, if one exists."""
+    """First isometric dominating set of size at most 4 in the connected
+    graph ``g``, by cardinality then lexicographic order of the sorted
+    vertex tuple; None if there is none.
+
+    An isometric set of k >= 2 vertices induces a connected subgraph, and
+    a connected dominating set of k vertices forces diam(G) <= k + 1 (any
+    two vertices sit next to members joined by a path of at most k - 1
+    edges inside the set).  So diam(G) > 5 rules out every candidate at
+    once.  Otherwise only connected subsets are candidates: they are grown
+    level by level by adjoining a neighbor, and at each level the
+    dominating ones are tried in lexicographic order.
+    """
+    if g.distances.diameter() > 5:
+        return None
     cadj = g.closed_adj
     full = g.full_mask
-    for mask in _subsets_by_size(g.n, 1, min(4, g.n)):
-        covered = 0
-        for v in iter_bits(mask):
-            covered |= cadj[v]
-        if covered == full and is_isometric(g, mask):
-            return mask.bit_count(), mask
+    level = {1 << v: cadj[v] for v in range(g.n)}  # subset -> N[subset]
+    for size in range(1, min(4, g.n) + 1):
+        if size > 1:
+            grown: dict[int, int] = {}
+            for mask, covered in level.items():
+                for v in iter_bits(covered & ~mask):
+                    bigger = mask | 1 << v
+                    if bigger not in grown:
+                        grown[bigger] = covered | cadj[v]
+            level = grown
+        dominating = [mask for mask, covered in level.items() if covered == full]
+        for mask in sorted(dominating, key=vertices_of):
+            if is_isometric(g, mask):
+                return size, mask
     return None
 
 
@@ -322,12 +345,16 @@ def gamma_iso_pair(
 ) -> SolverResult:
     """Isometric domination number given a verified dominating pair.
 
-    Stages: (1) exhaust all vertex sets of size <= 4; (2) hunt a dominating
-    shortest path between neighborhoods at distance d(x,y)-2, worth
-    d(x,y)-1; (3) accept such a path whose undominated leftovers sit inside
-    one endpoint neighborhood, worth d(x,y) after adjoining that endpoint;
-    (4) hunt a dominating shortest path at distance d(x,y)-1, worth d(x,y);
-    (5) fall back to a shortest x,y-path, worth d(x,y)+1.
+    Stages: (1) find the first isometric dominating set of size <= 4,
+    skipped outright when diam(G) > 5 because such a set is connected and a
+    connected dominating set of k vertices forces diam(G) <= k + 1, and
+    otherwise searched among connected sets grown by adjoining neighbors;
+    (2) hunt a dominating shortest path between neighborhoods at distance
+    d(x,y)-2, worth d(x,y)-1; (3) accept such a path whose undominated
+    leftovers sit inside one endpoint neighborhood, worth d(x,y) after
+    adjoining that endpoint; (4) hunt a dominating shortest path at
+    distance d(x,y)-1, worth d(x,y); (5) fall back to a shortest
+    x,y-path, worth d(x,y)+1.
     """
     require_connected(g, "gamma_iso_pair")
     if not pair.verified:

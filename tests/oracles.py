@@ -8,7 +8,7 @@ induced subgraphs are matched by raw permutation search.  Keep them dumb.
 from itertools import combinations, permutations
 
 from convdom import Graph, is_dominating, iter_bits, mask_of
-from convdom.convexity import is_convex
+from convdom.convexity import is_convex, is_isometric
 
 
 def dp_by_path_enumeration(g: Graph, x: int, y: int) -> bool:
@@ -53,6 +53,20 @@ def min_convex_superset(g: Graph, seed: int) -> int:
         sub = (sub - 1) & comp
     assert best is not None, "the full vertex set is always convex"
     return best[1]
+
+
+def small_idset_by_exhaustion(g: Graph) -> tuple[int, int] | None:
+    """First isometric dominating set of at most 4 vertices, as (size, mask).
+
+    Scans every subset by cardinality, then lexicographic order of the
+    sorted vertex tuple; None when no such set exists.
+    """
+    for k in range(1, min(4, g.n) + 1):
+        for combo in combinations(range(g.n), k):
+            mask = mask_of(combo)
+            if is_dominating(g, mask) and is_isometric(g, mask):
+                return k, mask
+    return None
 
 
 def connected_in(g: Graph, mask: int) -> bool:

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convdom import (
     DominatingPair,
@@ -28,7 +32,8 @@ from convdom import (
     vertices_of,
 )
 
-from oracles import gamma_plain
+from convdom.domination import _small_idset
+from oracles import gamma_plain, small_idset_by_exhaustion
 
 # One connected weak-dp graph whose different verified pairs drive the staged
 # solver through stages 2, 3, and 5 (found by scanning seeded random graphs,
@@ -203,6 +208,76 @@ def test_gamma_iso_pair_stage1_examples():
 
     star = gamma_iso_pair(make_star(5), DominatingPair(1, 2, True))
     assert (star.value, star.witness, star.stage) == (1, mask_of([0]), 1)
+
+    # (0, 2, 3) has the smaller mask, but (0, 1, 5) comes first in
+    # lexicographic order, and both are isometric dominating sets
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 5), (2, 3), (3, 4), (3, 5), (4, 5)])
+    pinned = gamma_iso_pair(g, find_dominating_pair(g))
+    assert (pinned.value, vertices_of(pinned.witness), pinned.stage) == (3, (0, 1, 5), 1)
+
+    # diameter 6 rules out every set of at most four vertices
+    p7 = gamma_iso_pair(make_path(7), DominatingPair(0, 6, True))
+    assert p7.value == 5 and p7.stage != 1
+
+
+@st.composite
+def connected_graphs(draw, max_n=12):
+    """A random recursive tree plus extra edges: connected by construction."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return Graph.from_edges(n, edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(connected_graphs())
+@example(make_cycle(10))  # diameter 5, yet no isometric dominating set of size <= 4
+@example(make_path(7))  # diameter 6
+def test_small_idset_matches_exhaustion(g):
+    assert _small_idset(g) == small_idset_by_exhaustion(g)
+
+
+def _sweep_interval_graph(n, rng, longest):
+    """Each interval starts inside the span covered so far: connected."""
+    spans = [(0, rng.randint(1, longest))]
+    right = spans[0][1]
+    for _ in range(n - 1):
+        start = rng.randint(0, right)
+        spans.append((start, start + rng.randint(1, longest)))
+        right = max(right, spans[-1][1])
+    return Graph.from_edges(n, [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if spans[i][0] <= spans[j][1] and spans[j][0] <= spans[i][1]
+    ])
+
+
+def _sweep_caterpillar(n, rng):
+    spine = rng.randint(2, 8)
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(rng.randrange(spine), leaf) for leaf in range(spine, n)]
+    return Graph.from_edges(n, edges)
+
+
+def test_small_idset_matches_exhaustion_on_larger_graphs():
+    rng = random.Random(5)
+    diameters = set()
+    found = set()
+    for i in range(24):
+        n = 20 + i % 13
+        if i % 2:
+            g = _sweep_caterpillar(n, rng)
+        else:
+            g = _sweep_interval_graph(n, rng, 2 + i // 2 % 6)
+        small = _small_idset(g)
+        assert small == small_idset_by_exhaustion(g), i
+        diameters.add(g.distances.diameter())
+        found.add(small is not None)
+    assert {4, 5} <= diameters and max(diameters) > 5
+    assert found == {True, False}
 
 
 def test_gamma_iso_pair_rejects_unverified_pairs():

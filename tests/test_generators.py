@@ -3,6 +3,7 @@ import pytest
 from convdom import (
     GenSpec,
     PreconditionError,
+    ResourceLimitError,
     is_chordal,
     is_chordal_dp_graph,
     is_dp_graph_bruteforce,
@@ -17,6 +18,7 @@ from convdom import (
     random_weak_dp,
     split_partition,
 )
+from convdom import recognition
 
 
 def test_A1_shape():
@@ -91,6 +93,17 @@ def test_rejection_samplers():
         assert is_chordal_dp_graph(g).holds
         h = random_weak_dp(8, seed, 0.25)
         assert find_dominating_pair(h) is not None
+
+
+def test_rejection_samplers_give_up(monkeypatch):
+    monkeypatch.setattr(
+        recognition, "is_chordal_dp_graph", lambda g: recognition.ChordalDpResult(False)
+    )
+    monkeypatch.setattr(recognition, "find_dominating_pair", lambda g: None)
+    with pytest.raises(ResourceLimitError):
+        random_chordal_dp(6, 1)
+    with pytest.raises(ResourceLimitError):
+        random_weak_dp(6, 1)
 
 
 def test_genspec_filenames_and_validation():
