@@ -2,8 +2,10 @@
 
 One command per process; a machine-readable result record goes to stdout
 as a single JSON line and a human summary goes to stderr.  Exit codes:
-0 success, 1 parse error, 2 wrong class or violated precondition,
-3 size-guard or search-cap exhaustion.
+0 success, 1 parse error, 2 wrong class, violated precondition or a
+usage error (an unknown flag or a malformed argument, reported by
+argparse with no record on stdout), 3 size-guard or search-cap
+exhaustion.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ def _parser() -> argparse.ArgumentParser:
     solve.add_argument("input", type=Path)
     solve.add_argument("--trust-class", action="store_true",
                        help="skip class recognition; certificate marked assumed")
-    solve.add_argument("--jobs", type=int, default=1, metavar="N")
     solve.add_argument("--path-cap", type=int, default=PATH_CAP_DEFAULT, metavar="N")
     solve.set_defaults(func=_cmd_solve)
 
@@ -100,7 +101,7 @@ def _cmd_solve(args) -> dict:
     record["graph"] = {"n": g.n, "m": g.edge_count}
     if args.kind == "convex":
         record["class_check"] = "assumed" if args.trust_class else "verified"
-        result = gamma_con_hull4(g, trust=args.trust_class, jobs=args.jobs)
+        result = gamma_con_hull4(g, trust=args.trust_class)
     else:
         # the isometric solver consumes the dominating pair, so the weak-dp
         # class check cannot be skipped
@@ -108,7 +109,7 @@ def _cmd_solve(args) -> dict:
         pair = find_dominating_pair(g)
         if pair is None:
             raise WrongClassError("graph has no dominating pair")
-        result = gamma_iso_pair(g, pair, cap=args.path_cap, jobs=args.jobs)
+        result = gamma_iso_pair(g, pair, cap=args.path_cap)
         record["pair"] = [pair.x, pair.y]
     record.update(records.solver_fields(result))
     _summary(f"{args.kind} domination number {result.value}, "

@@ -52,9 +52,8 @@ def interval(g: Graph, u: int, v: int) -> int:
 def convex_hull(g: Graph, seed: int) -> HullTrace:
     """Smallest convex superset of ``seed``, with the closure trace.
 
-    The seed must be nonempty and contained in one component.  Each round
-    pairs only newly added vertices against all current members; intervals
-    of older pairs were already merged in an earlier round.
+    The seed must be nonempty and contained in one component.  The rounds
+    after the seed are those of ``closure``.
     """
     g.check_mask(seed)
     if seed == 0:
@@ -65,10 +64,19 @@ def convex_hull(g: Graph, seed: int) -> HullTrace:
         if g.distances.d(first, v) == INF:
             raise NoPathError("hull seed spans more than one component")
 
-    table = g.interval_masks
-    rounds = [seed]
-    current = seed
-    fresh = seed
+    return HullTrace((seed, *closure(g.interval_masks, seed, seed)))
+
+
+def closure(table, current: int, fresh: int):
+    """Yield each strictly larger round of the interval closure of ``current``.
+
+    ``table`` is ``Graph.interval_masks``.  ``fresh`` holds the members of
+    ``current`` whose intervals against ``current`` are not merged yet;
+    pass ``current`` itself to close from scratch.  Each round pairs only
+    the newly added vertices against all members, since intervals of older
+    pairs were already merged.  The last round yielded is the hull (none
+    when ``current`` is already convex).
+    """
     while True:
         grown = current
         for a in iter_bits(fresh):
@@ -76,10 +84,10 @@ def convex_hull(g: Graph, seed: int) -> HullTrace:
             for b in iter_bits(current):
                 grown |= row[b]
         if grown == current:
-            return HullTrace(tuple(rounds))
+            return
         fresh = grown & ~current
         current = grown
-        rounds.append(current)
+        yield current
 
 
 def is_convex(g: Graph, members: int) -> bool:

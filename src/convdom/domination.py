@@ -11,12 +11,11 @@ subset enumeration at desk scale and exist to keep the fast paths honest.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .convexity import HullTrace, convex_hull, is_convex, is_isometric
+from .convexity import HullTrace, closure, convex_hull, is_convex, is_isometric
 from .errors import (
     PreconditionError,
     ResourceLimitError,
@@ -108,11 +107,7 @@ def _first_subset(g: Graph, bound: int, extra) -> int:
 # -- convex domination via hulls of small seeds --------------------------------
 
 
-def gamma_con_hull4(
-    g: Graph,
-    trust: bool = False,
-    jobs: int = 1,
-) -> SolverResult:
+def gamma_con_hull4(g: Graph, trust: bool = False) -> SolverResult:
     """Minimum convex dominating set via hulls of seeds with at most 4 vertices.
 
     Correct on every connected chordal dominating pair graph; unless
@@ -130,15 +125,10 @@ def gamma_con_hull4(
                 witness=verdict.witness,
                 hole=verdict.hole,
             )
-    seeds = [combo for k in range(1, 5) for combo in combinations(range(g.n), k)]
-    if jobs > 1:
-        best = _sweep_parallel(g, seeds, jobs)
-    else:
-        best = _hull_sweep(g, seeds)
+    best = _hull_sweep(g)
     if best is None:
         raise RuntimeError("no dominating hull found on a promised instance")
-    _size, witness, seed_combo = best
-    seed = mask_of(seed_combo)
+    _size, witness, seed = best
     trace = convex_hull(g, seed)
     return SolverResult(
         value=witness.bit_count(),
@@ -150,16 +140,20 @@ def gamma_con_hull4(
     )
 
 
-def _hull_sweep(g: Graph, seeds) -> tuple[int, int, tuple[int, ...]] | None:
-    """Best (size, witness, seed) over the sweep; None when nothing dominates."""
+def _hull_sweep(g: Graph) -> tuple[int, int, int] | None:
+    """Best (size, witness, seed) over all seeds of at most four vertices,
+    taken by cardinality then lexicographic order; None when no hull
+    dominates."""
     cadj = g.closed_adj
     full = g.full_mask
     table = g.interval_masks
-    best: tuple[int, int, tuple[int, ...]] | None = None
-    for combo in seeds:
-        if best is not None and len(combo) > best[0]:
+    best: tuple[int, int, int] | None = None
+    for seed in _subsets_by_size(g.n, 1, 4):
+        if best is not None and seed.bit_count() > best[0]:
             continue  # hull cannot be smaller than its seed
-        hull = _hull_mask(table, mask_of(combo))
+        hull = seed
+        for hull in closure(table, seed, seed):
+            pass
         covered = 0
         for v in iter_bits(hull):
             covered |= cadj[v]
@@ -167,45 +161,8 @@ def _hull_sweep(g: Graph, seeds) -> tuple[int, int, tuple[int, ...]] | None:
             continue
         key = (hull.bit_count(), hull)
         if best is None or key < (best[0], best[1]):
-            best = (key[0], key[1], combo)
+            best = (key[0], key[1], seed)
     return best
-
-
-def _hull_mask(table, seed: int) -> int:
-    current = seed
-    fresh = seed
-    while True:
-        grown = current
-        for a in iter_bits(fresh):
-            row = table[a]
-            for b in iter_bits(current):
-                grown |= row[b]
-        if grown == current:
-            return current
-        fresh = grown & ~current
-        current = grown
-
-
-def _hull_chunk_worker(args) -> tuple[int, int, tuple[int, ...]] | None:
-    g, chunk = args
-    return _hull_sweep(g, chunk)
-
-
-def _sweep_parallel(g: Graph, seeds, jobs: int):
-    chunks = [seeds[i::jobs] for i in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_hull_chunk_worker, [(g, c) for c in chunks]))
-    best = None
-    for candidate in results:
-        if candidate is None:
-            continue
-        # seed rank (size, tuple) recovers the sequential first-wins order
-        key = (candidate[0], candidate[1], len(candidate[2]), candidate[2])
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return None
-    return (best[0], best[1], best[3])
 
 
 # -- dominating shortest-path search -------------------------------------------
@@ -280,23 +237,6 @@ def _search_shortest_path(
     return None
 
 
-def _path_worker(args) -> tuple[int, ...] | None:
-    g, a, b, length, allowed, cap = args
-    return _search_shortest_path(g, a, b, length, allowed, cap)
-
-
-def _run_searches(g: Graph, tasks, cap: int, jobs: int):
-    """Outcomes of `_search_shortest_path` per task, preserving task order."""
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(
-                _path_worker, [(g, a, b, length, allowed, cap) for a, b, length, allowed in tasks]
-            )
-    else:
-        for a, b, length, allowed in tasks:
-            yield _search_shortest_path(g, a, b, length, allowed, cap)
-
-
 # -- isometric domination -------------------------------------------------------
 
 
@@ -341,7 +281,6 @@ def gamma_iso_pair(
     g: Graph,
     pair: DominatingPair,
     cap: int = PATH_CAP_DEFAULT,
-    jobs: int = 1,
 ) -> SolverResult:
     """Isometric domination number given a verified dominating pair.
 
@@ -373,57 +312,45 @@ def gamma_iso_pair(
         raise RuntimeError("no small ID-set although d(x,y) <= 3")
     s = d - 2
 
-    nx = tuple(iter_bits(g.adj[x]))
-    ny = tuple(iter_bits(g.adj[y]))
-    dist = g.distances
-    near = [(a, b) for a in nx for b in ny if dist.d(a, b) == s]
-
-    # stage 2: dominating shortest path of length s between the neighborhoods
-    tasks = [(a, b, s, 0) for a, b in near]
-    for path in _run_searches(g, tasks, cap, jobs):
-        if path is not None:
-            witness = mask_of(path)
-            return SolverResult(s + 1, witness, "staged-iso", certify(g, witness), stage=2)
-
-    # stage 3: same paths, tolerating leftovers inside one endpoint neighborhood
     nx_mask = g.adj[x]
     ny_mask = g.adj[y]
-    tasks = [(a, b, s, slack) for a, b in near for slack in (nx_mask, ny_mask)]
-    for index, path in enumerate(_run_searches(g, tasks, cap, jobs)):
+    nx = tuple(iter_bits(nx_mask))
+    ny = tuple(iter_bits(ny_mask))
+    dist = g.distances
+    near = [(a, b) for a in nx for b in ny if dist.d(a, b) == s]
+    # (stage, a, b, length, tolerated leftovers, adjoined endpoint), in the
+    # order the stages are tried; the first path found decides
+    tasks = [(2, a, b, s, 0, None) for a, b in near]
+    tasks += [
+        (3, a, b, s, slack, endpoint)
+        for a, b in near
+        for slack, endpoint in ((nx_mask, x), (ny_mask, y))
+    ]
+    tasks += [(4, a, b, s + 1, 0, None) for a in nx for b in ny if dist.d(a, b) == s + 1]
+    # a shortest x,y-path always remains an isometric dominating set
+    tasks.append((5, x, y, d, g.full_mask, None))
+    for stage, a, b, length, slack, endpoint in tasks:
+        path = _search_shortest_path(g, a, b, length, slack, cap)
         if path is None:
             continue
-        endpoint = x if tasks[index][3] == nx_mask else y
-        covered = 0
-        for v in path:
-            covered |= g.closed_adj[v]
-        if covered == g.full_mask:
-            raise RuntimeError("fully dominating path should have won stage 2")
-        witness = mask_of(path) | (1 << endpoint)
-        return SolverResult(s + 2, witness, "staged-iso", certify(g, witness), stage=3)
-
-    # stage 4: dominating shortest path of length s+1
-    tasks = [(a, b, s + 1, 0) for a in nx for b in ny if dist.d(a, b) == s + 1]
-    for path in _run_searches(g, tasks, cap, jobs):
-        if path is not None:
-            witness = mask_of(path)
-            return SolverResult(s + 2, witness, "staged-iso", certify(g, witness), stage=4)
-
-    # stage 5: a shortest x,y-path always remains an isometric dominating set
-    path = _search_shortest_path(g, x, y, d, g.full_mask, cap)
-    if path is None:
-        raise RuntimeError("shortest x,y-path vanished")
-    witness = mask_of(path)
-    return SolverResult(s + 3, witness, "staged-iso", certify(g, witness), stage=5)
+        witness = mask_of(path)
+        if endpoint is not None:
+            covered = 0
+            for v in path:
+                covered |= g.closed_adj[v]
+            if covered == g.full_mask:
+                raise RuntimeError("fully dominating path should have won stage 2")
+            witness |= 1 << endpoint
+        return SolverResult(
+            witness.bit_count(), witness, "staged-iso", certify(g, witness), stage=stage
+        )
+    raise RuntimeError("shortest x,y-path vanished")
 
 
-def gamma_iso(
-    g: Graph,
-    cap: int = PATH_CAP_DEFAULT,
-    jobs: int = 1,
-) -> SolverResult:
+def gamma_iso(g: Graph, cap: int = PATH_CAP_DEFAULT) -> SolverResult:
     """Find a dominating pair, then delegate to the staged algorithm."""
     require_connected(g, "gamma_iso")
     pair = find_dominating_pair(g)
     if pair is None:
         raise WrongClassError("graph has no dominating pair")
-    return gamma_iso_pair(g, pair, cap=cap, jobs=jobs)
+    return gamma_iso_pair(g, pair, cap=cap)

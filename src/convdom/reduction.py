@@ -122,14 +122,19 @@ def verify_gadget_equivalence(g_prime: Graph, k: int) -> EquivalenceReport:
     )
 
 
+# A k sweep over one split graph needs two entries: the graph and its gadget.
+GAMMA_CACHE_SIZE = 8
 _GAMMA_CACHE: dict[Graph, SolverResult] = {}
 
 
 def _gamma_con_cached(g: Graph) -> SolverResult:
     # verify_gadget_equivalence is called once per k; the optima only depend
-    # on the graph, so share them across the k sweep.
+    # on the graph, so share them across the k sweep.  The oldest entry is
+    # evicted first, so a long-lived process does not grow without bound.
     result = _GAMMA_CACHE.get(g)
     if result is None:
         result = gamma_con_bruteforce(g, bound=BRUTEFORCE_DEFAULT_BOUND)
         _GAMMA_CACHE[g] = result
+        if len(_GAMMA_CACHE) > GAMMA_CACHE_SIZE:
+            del _GAMMA_CACHE[next(iter(_GAMMA_CACHE))]
     return result

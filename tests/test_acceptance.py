@@ -360,11 +360,6 @@ def test_criterion_9_determinism(tmp_path, capsys):
         runs += 2
         if repeat != baseline:
             failures.append((argv, "rerun"))
-        if argv[0] == "solve":
-            for jobs in (2, 3):
-                runs += 1
-                if run(*argv, "--jobs", str(jobs)) != baseline:
-                    failures.append((argv, f"jobs={jobs}"))
     generated = (tmp_path / "gen.elist").read_bytes()
     cli_main(["generate", "--family", "random_chordal", "--n", "9", "--seed", "4",
               "--out", str(tmp_path / "gen2.elist")])

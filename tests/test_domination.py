@@ -166,19 +166,6 @@ def test_hull4_wrong_class_errors():
     assert trusted.value == gamma_con_bruteforce(make_A1()).value == 4
 
 
-def test_hull4_jobs_reproduce_sequential():
-    for g in (make_path(6), make_star(5), stage4_graph().induced(mask_of(range(8)))[0]):
-        if not g.is_connected():
-            continue
-        sequential = gamma_con_hull4(g, trust=True)
-        parallel = gamma_con_hull4(g, trust=True, jobs=2)
-        assert (sequential.value, sequential.witness, sequential.seed) == (
-            parallel.value,
-            parallel.witness,
-            parallel.seed,
-        )
-
-
 # -- dominating shortest-path search ------------------------------------------------
 
 
@@ -289,12 +276,14 @@ def test_staged_solver_reaches_every_stage():
     g = staged_graph()
     oracle = gamma_iso_bruteforce(g).value
     assert oracle == 5
-    expectations = {(6, 7): 2, (0, 7): 3, (0, 5): 5}
+    # (7, 0) tolerates leftovers in N(0), so it must adjoin 0, not 7
+    expectations = {(6, 7): 2, (0, 7): 3, (7, 0): 3, (0, 5): 5}
     for (x, y), stage in expectations.items():
         assert is_dominating_pair(g, x, y)
         result = gamma_iso_pair(g, DominatingPair(x, y, True))
         assert result.value == oracle, (x, y)
         assert result.stage == stage, (x, y)
+        assert vertices_of(result.witness) == (0, 1, 2, 3, 5), (x, y)
         assert result.certificate.dominating and result.certificate.isometric
 
     g4 = stage4_graph()
@@ -320,18 +309,6 @@ def test_staged_values_are_pair_independent():
             result = gamma_iso_pair(g, DominatingPair(x, y, True))
             assert result.value == oracle, (x, y)
             assert dist.d(x, y) - 1 <= result.value <= dist.d(x, y) + 1
-
-
-def test_gamma_iso_jobs_reproduce_sequential():
-    for g in (staged_graph(), stage4_graph()):
-        pair = find_dominating_pair(g)
-        sequential = gamma_iso_pair(g, pair)
-        parallel = gamma_iso_pair(g, pair, jobs=2)
-        assert (sequential.value, sequential.witness, sequential.stage) == (
-            parallel.value,
-            parallel.witness,
-            parallel.stage,
-        )
 
 
 def test_gamma_iso_entry_point():

@@ -1,5 +1,6 @@
 import pytest
 
+from convdom import reduction
 from convdom import (
     Graph,
     PreconditionError,
@@ -92,3 +93,29 @@ def test_gadget_shifts_gamma_con_by_one():
         ), seed
         for k in range(1, g.n + 1):
             assert verify_gadget_equivalence(g, k).holds, (seed, k)
+
+
+def test_gamma_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(reduction, "_GAMMA_CACHE", {})
+    solved = set()
+    for seed in range(reduction.GAMMA_CACHE_SIZE):
+        g = random_split(4 + seed % 6, 100 + seed, 0.45)
+        solved |= {g, verify_gadget_equivalence(g, 1).gadget.graph}
+        assert len(reduction._GAMMA_CACHE) <= reduction.GAMMA_CACHE_SIZE
+    assert len(solved) > reduction.GAMMA_CACHE_SIZE
+
+
+def test_k_sweep_solves_each_side_once(monkeypatch):
+    calls = []
+
+    def counting(g, bound):
+        calls.append(g)
+        return gamma_con_bruteforce(g, bound=bound)
+
+    monkeypatch.setattr(reduction, "gamma_con_bruteforce", counting)
+    monkeypatch.setattr(reduction, "_GAMMA_CACHE", {})
+    g = random_split(7, 3, 0.45)
+    for k in range(g.n + 1):
+        verify_gadget_equivalence(g, k)
+    assert len(calls) == 2
+    assert calls[0] == g and calls[1] == build_np_gadget(g, split_partition(g)).graph
