@@ -2,11 +2,12 @@
 
 ``gamma_con_hull4`` sweeps convex hulls of all seeds of at most four
 vertices, which realizes an optimal convex dominating set on every chordal
-dominating pair graph.  ``gamma_iso_pair`` runs the staged shortest-path
-algorithm that pins the isometric domination number of a weak dominating
-pair graph to one of d(x,y)-1, d(x,y), d(x,y)+1 once small solutions are
-ruled out.  The ``*_bruteforce`` oracles decide the same optima by plain
-subset enumeration at desk scale and exist to keep the fast paths honest.
+dominating pair graph; seeds grow level by level from their parents'
+hulls.  ``gamma_iso_pair`` runs the staged shortest-path algorithm that
+pins the isometric domination number of a weak dominating pair graph to
+one of d(x,y)-1, d(x,y), d(x,y)+1 once small solutions are ruled out.
+The ``*_bruteforce`` oracles decide the same optima by plain subset
+enumeration at desk scale and exist to keep the fast paths honest.
 """
 
 from __future__ import annotations
@@ -113,8 +114,13 @@ def gamma_con_hull4(g: Graph, trust: bool = False) -> SolverResult:
     Correct on every connected chordal dominating pair graph; unless
     ``trust`` is set, membership is verified first and refuted inputs raise
     WrongClassError carrying the forbidden-subgraph witness (or the hole).
+    Every graph of the class has a dominating hull of at most four
+    vertices, so a trusted input without one also raises WrongClassError.
     Ties between dominating hulls break toward the smaller witness bitmask,
-    then the earlier seed in the sweep order.
+    then the earlier seed in cardinality-then-lexicographic order.  The
+    sweep grows seeds level by level, closing each from its parent's hull
+    (see ``_hull_sweep``); the returned trace is the seed's closure from
+    scratch.
     """
     require_connected(g, "gamma_con_hull4")
     if not trust:
@@ -127,7 +133,9 @@ def gamma_con_hull4(g: Graph, trust: bool = False) -> SolverResult:
             )
     best = _hull_sweep(g)
     if best is None:
-        raise RuntimeError("no dominating hull found on a promised instance")
+        raise WrongClassError(
+            "no hull of at most four vertices dominates: not a chordal dominating pair graph"
+        )
     _size, witness, seed = best
     trace = convex_hull(g, seed)
     return SolverResult(
@@ -141,27 +149,61 @@ def gamma_con_hull4(g: Graph, trust: bool = False) -> SolverResult:
 
 
 def _hull_sweep(g: Graph) -> tuple[int, int, int] | None:
-    """Best (size, witness, seed) over all seeds of at most four vertices,
-    taken by cardinality then lexicographic order; None when no hull
-    dominates."""
+    """Best (size, witness, seed) over all seeds of at most four vertices;
+    None when no hull dominates.
+
+    The answer is the first seed, by cardinality then lexicographic order,
+    whose hull dominates with the least (size, mask).  Hulls are monotone,
+    hull(S + v) contains hull(S), so each k-seed is its (k-1)-parent plus a
+    larger last vertex v, closed from the parent's hull with v the only
+    fresh vertex.  Visiting each level's parents in order and their
+    extensions by increasing v walks the seeds in the sweep order, and
+    only a strictly smaller key replaces the best.  Two rules skip seeds
+    that cannot change the answer:
+
+    - an entry whose hull has at least ``best[0]`` vertices is not
+      extended: a larger hull loses, and an equal-size superset is the
+      same hull, already reached by that earlier entry;
+    - a v inside the parent's hull S is skipped with its whole subtree:
+      hull(S + v + T) = hull(S + T), and S + T is a smaller seed, earlier
+      in the order.
+
+    Neither rule skips the winning seed: if one did, an earlier seed would
+    have the same hull, and the winner would not be the first.  A level
+    larger than ``best[0]`` is not started, since a hull is at least as
+    large as its seed.
+    """
     cadj = g.closed_adj
     full = g.full_mask
     table = g.interval_masks
     best: tuple[int, int, int] | None = None
-    for seed in _subsets_by_size(g.n, 1, 4):
-        if best is not None and seed.bit_count() > best[0]:
-            continue  # hull cannot be smaller than its seed
-        hull = seed
-        for hull in closure(table, seed, seed):
-            pass
-        covered = 0
-        for v in iter_bits(hull):
-            covered |= cadj[v]
-        if covered != full:
-            continue
-        key = (hull.bit_count(), hull)
-        if best is None or key < (best[0], best[1]):
-            best = (key[0], key[1], seed)
+    # (seed, last vertex, hull, N[hull]) per entry of the previous level, in
+    # sweep order; the empty seed is the root
+    level = [(0, -1, 0, 0)]
+    for k in range(1, 5):
+        if best is not None and k > best[0]:
+            break
+        children = []
+        for seed, last, hull, covered in level:
+            if best is not None and hull.bit_count() >= best[0]:
+                continue
+            for v in range(last + 1, g.n):
+                bit = 1 << v
+                if hull & bit:
+                    continue
+                grown = hull | bit
+                for grown in closure(table, grown, bit):
+                    pass
+                reach = covered
+                for w in iter_bits(grown & ~hull):
+                    reach |= cadj[w]
+                if reach == full:
+                    key = (grown.bit_count(), grown)
+                    if best is None or key < best[:2]:
+                        best = (*key, seed | bit)
+                elif k < 4:  # a dominating hull's extensions fall to the first rule
+                    children.append((seed | bit, v, grown, reach))
+        level = children
     return best
 
 

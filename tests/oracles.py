@@ -8,7 +8,7 @@ induced subgraphs are matched by raw permutation search.  Keep them dumb.
 from itertools import combinations, permutations
 
 from convdom import Graph, is_dominating, iter_bits, mask_of
-from convdom.convexity import is_convex, is_isometric
+from convdom.convexity import convex_hull, is_convex, is_isometric
 
 
 def dp_by_path_enumeration(g: Graph, x: int, y: int) -> bool:
@@ -67,6 +67,30 @@ def small_idset_by_exhaustion(g: Graph) -> tuple[int, int] | None:
             if is_dominating(g, mask) and is_isometric(g, mask):
                 return k, mask
     return None
+
+
+def hull_sweep_by_seeds(g: Graph) -> tuple[int, int, int] | None:
+    """Best (size, witness, seed) over the hulls of all seeds of at most
+    four vertices, each closed from scratch.
+
+    Seeds go by cardinality, then lexicographic order of the sorted vertex
+    tuple; a hull replaces the best only when (size, witness mask) is
+    strictly smaller, so the first seed of the winning hull is kept.  Seeds
+    larger than the best size so far are skipped: a hull is at least as
+    large as its seed.  None when no hull dominates.
+    """
+    best = None
+    for k in range(1, min(4, g.n) + 1):
+        if best is not None and k > best[0]:
+            break
+        for combo in combinations(range(g.n), k):
+            seed = mask_of(combo)
+            hull = convex_hull(g, seed).hull
+            if is_dominating(g, hull):
+                key = (hull.bit_count(), hull)
+                if best is None or key < best[:2]:
+                    best = (*key, seed)
+    return best
 
 
 def connected_in(g: Graph, mask: int) -> bool:

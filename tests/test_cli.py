@@ -4,7 +4,16 @@ import sys
 
 import pytest
 
-from convdom import is_dominating, is_convex, is_isometric, make_cycle, make_path, make_star, mask_of
+from convdom import (
+    Graph,
+    is_convex,
+    is_dominating,
+    is_isometric,
+    make_cycle,
+    make_path,
+    make_star,
+    mask_of,
+)
 from convdom.cli import main
 from convdom.edgelist import dump, parse, serialize
 
@@ -18,6 +27,12 @@ def files(tmp_path):
         "p8": make_path(8),
         "c7": make_cycle(7),
         "star4": make_star(4),
+        # five legs of length 3: no hull of at most four vertices dominates
+        "spider": Graph.from_edges(16, [
+            (0 if step == 1 else 3 * leg + step - 1, 3 * leg + step)
+            for leg in range(5)
+            for step in (1, 2, 3)
+        ]),
     }.items():
         paths[name] = tmp_path / f"{name}.elist"
         dump(g, paths[name])
@@ -77,6 +92,12 @@ def test_solve_wrong_class_exit_codes(capsys, files):
     code, record, _ = run_cli(capsys, "solve", "isometric", files["c7"])
     assert code == 2
     assert record["status"] == "wrong-class"
+
+    # a trusted solve that finds no dominating hull refutes the class too
+    code, record, err = run_cli(capsys, "solve", "convex", files["spider"], "--trust-class")
+    assert code == 2
+    assert record["status"] == "wrong-class"
+    assert "wrong class" in err
 
 
 def test_parse_error_exit_code(capsys, files):

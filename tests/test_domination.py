@@ -1,4 +1,6 @@
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,11 +31,14 @@ from convdom import (
     make_path,
     make_star,
     mask_of,
+    random_chordal,
+    random_interval,
     vertices_of,
 )
+from convdom import records
 
-from convdom.domination import _small_idset
-from oracles import gamma_plain, small_idset_by_exhaustion
+from convdom.domination import _hull_sweep, _small_idset
+from oracles import gamma_plain, hull_sweep_by_seeds, small_idset_by_exhaustion
 
 # One connected weak-dp graph whose different verified pairs drive the staged
 # solver through stages 2, 3, and 5 (found by scanning seeded random graphs,
@@ -108,6 +113,11 @@ def test_gamma_con_hull4_examples():
     assert vertices_of(p6.witness) == (1, 2, 3, 4)
     assert p6.method == "hull4"
 
+    # (1, 3) and (1, 2, 3) close to the same hull; the earlier seed wins
+    p5 = gamma_con_hull4(make_path(5))
+    assert (vertices_of(p5.seed), vertices_of(p5.witness)) == ((1, 3), (1, 2, 3))
+    assert records.trace_field(p5.trace) == [[1, 3], [2]]
+
 
 def test_hull4_result_invariants(connected_corpus):
     for name, g in connected_corpus:
@@ -164,6 +174,20 @@ def test_hull4_wrong_class_errors():
     # matches the oracle even off the promised class
     trusted = gamma_con_hull4(make_A1(), trust=True)
     assert trusted.value == gamma_con_bruteforce(make_A1()).value == 4
+
+    # a hull of at most four vertices spans at most four legs and misses
+    # the tip of the fifth, so even a trusted solve refutes the class
+    with pytest.raises(WrongClassError):
+        gamma_con_hull4(spider5(), trust=True)
+
+
+def spider5():
+    """Five legs of length 3 around the center 0."""
+    return Graph.from_edges(16, [
+        (0 if step == 1 else 3 * leg + step - 1, 3 * leg + step)
+        for leg in range(5)
+        for step in (1, 2, 3)
+    ])
 
 
 # -- dominating shortest-path search ------------------------------------------------
@@ -265,6 +289,66 @@ def test_small_idset_matches_exhaustion_on_larger_graphs():
         found.add(small is not None)
     assert {4, 5} <= diameters and max(diameters) > 5
     assert found == {True, False}
+
+
+# -- hull sweep against the flat reference -------------------------------------------
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(connected_graphs())
+@example(make_path(5))  # two seeds close to the winning hull
+@example(spider5())  # no hull of at most four vertices dominates
+def test_hull_sweep_matches_flat_sweep(g):
+    assert _hull_sweep(g) == hull_sweep_by_seeds(g)
+
+
+def _winning_seeds(g, best):
+    """How many seeds of at most four vertices close to the winning hull."""
+    size, witness, _seed = best
+    return sum(
+        convex_hull(g, mask_of(combo)).hull == witness
+        for k in range(1, min(4, size) + 1)
+        for combo in combinations(range(g.n), k)
+    )
+
+
+def test_hull_sweep_matches_flat_sweep_on_larger_graphs():
+    rng = random.Random(11)
+    outcomes = []
+    for i in range(15):
+        n = 18 + i % 7
+        if i % 3 == 0:
+            g = random_interval(n, 300 + i)
+        elif i % 3 == 1:
+            g = random_chordal(n, 300 + i, 0.2)
+        else:
+            g = _sweep_caterpillar(n, rng)
+        best = _hull_sweep(g)
+        assert best == hull_sweep_by_seeds(g), i
+        outcomes.append(None if best is None else _winning_seeds(g, best))
+    # the tie-break decides on several inputs, and some have no dominating hull
+    assert sum(1 for seeds in outcomes if seeds and seeds > 1) >= 3
+    assert None in outcomes
+
+
+def _golden_graphs():
+    rng = random.Random(2024)
+    graphs = [random_interval(18 + i % 2, 700 + i) for i in range(20)]
+    graphs += [_sweep_interval_graph(18 + i % 2, rng, 2 + i % 6) for i in range(20)]
+    return graphs
+
+
+# sha256 of the hull4 records of _golden_graphs(), computed with the flat
+# sweep that closed every seed from scratch
+HULL4_GOLDEN = "909cd6f5d421270d7280c0ee8d4ae3d4a7184ddc77fc708fdaf1877cf61012f6"
+
+
+def test_hull4_records_match_golden():
+    digest = hashlib.sha256()
+    for g in _golden_graphs():
+        result = gamma_con_hull4(g, trust=True)
+        digest.update(records.to_line(records.solver_fields(result)).encode())
+    assert digest.hexdigest() == HULL4_GOLDEN
 
 
 def test_gamma_iso_pair_rejects_unverified_pairs():
