@@ -2,10 +2,11 @@
 
 One command per process; a machine-readable result record goes to stdout
 as a single JSON line and a human summary goes to stderr.  Exit codes:
-0 success, 1 parse error, 2 wrong class, violated precondition or a
+0 success, 1 parse error, 2 wrong class, violated precondition, a
 usage error (an unknown flag or a malformed argument, reported by
-argparse with no record on stdout), 3 size-guard or search-cap
-exhaustion.
+argparse) or a file error (an input that cannot be read or an ``--out``
+that cannot be written), 3 size-guard or search-cap exhaustion.  Usage
+and file errors write no record on stdout.
 """
 
 from __future__ import annotations
@@ -88,11 +89,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _load(path: Path) -> tuple[Graph, bytes]:
     data = path.read_bytes()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not ASCII: {exc.reason}", 1, 1) from None
-    return edgelist.parse(text), data
+    return edgelist.parse(edgelist.decode(data)), data
 
 
 def _cmd_solve(args) -> dict:
@@ -235,6 +232,9 @@ def main(argv=None) -> int:
         return 3
     except ConvdomError as exc:
         _summary(f"error: {exc}")
+        return 2
+    except OSError as exc:
+        _summary(f"file error: {exc}")
         return 2
     record["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
     sys.stdout.write(records.to_line(record))

@@ -113,25 +113,16 @@ def is_isometric(g: Graph, members: int) -> bool:
     """
     g.check_mask(members)
     dist = g.distances
-    verts = vertices_of(members)
-    for u in verts:
+    for u in iter_bits(members):
         row = dist[u]
-        seen = frontier = 1 << u
-        d = 0
-        pending = members & ~seen
-        while frontier:
-            for w in iter_bits(frontier & members):
+        reached = 0
+        for d, layer in enumerate(g.layers(u, members)):
+            for w in iter_bits(layer):
                 if row[w] != d:
                     return False
-                pending &= ~(1 << w)
-            grow = 0
-            for w in iter_bits(frontier):
-                grow |= g.adj[w]
-            frontier = grow & members & ~seen
-            seen |= frontier
-            d += 1
+            reached |= layer
         # members unreachable inside the set must be unreachable in g too
-        for w in iter_bits(pending):
+        for w in iter_bits(members & ~reached):
             if row[w] != INF:
                 return False
     return True

@@ -2,7 +2,9 @@
 
 Layout: the first non-comment line is ``n m``; the next ``m`` non-comment
 lines are edges ``u v`` with ``0 <= u < v < n``.  A ``#`` starts a comment
-anywhere on a line.  ASCII only; LF or CRLF line endings.  Duplicate edges,
+anywhere on a line.  ASCII only; LF or CRLF line endings, and no other
+character breaks a line.  Fields are separated by spaces or tabs, and an
+integer is an optional ``-`` and the digits 0-9.  Duplicate edges,
 loops, and out-of-order endpoints are parse errors rather than silently
 repaired input.
 """
@@ -10,8 +12,16 @@ repaired input.
 from __future__ import annotations
 
 import os
+import re
+
 from .errors import ParseError
 from .graph import Graph
+
+# _PAIR accepts a data line in one match; the other two only diagnose a
+# line it rejects.
+_FIELD = re.compile(r"[^ \t]+")
+_INTEGER = re.compile(r"-?[0-9]+")
+_PAIR = re.compile(r"[ \t]*(-?[0-9]+)[ \t]+(-?[0-9]+)[ \t]*")
 
 
 def parse(text: str) -> Graph:
@@ -19,16 +29,20 @@ def parse(text: str) -> Graph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         hash_at = raw.find("#")
         body = raw if hash_at < 0 else raw[:hash_at]
-        if not body.strip():
-            continue
-        fields = body.split()
-        if len(fields) != 2:
-            raise ParseError(f"expected two integers, got {len(fields)} fields", lineno, 1)
-        a = _int_field(fields[0], raw, lineno)
-        b = _int_field(fields[1], raw, lineno)
+        pair = _PAIR.fullmatch(body)
+        if pair is None:
+            fields = list(_FIELD.finditer(body))
+            if not fields:
+                continue
+            if len(fields) != 2:
+                raise ParseError(f"expected two integers, got {len(fields)} fields", lineno, 1)
+            bad = next(f for f in fields if not _INTEGER.fullmatch(f[0]))
+            raise ParseError(f"not a decimal integer: {bad[0]!r}", lineno, bad.start() + 1)
+        a, b = int(pair[1]), int(pair[2])
         if header is None:
             if a < 0 or b < 0:
                 raise ParseError("vertex and edge counts must be non-negative", lineno, 1)
@@ -54,16 +68,6 @@ def parse(text: str) -> Graph:
     return Graph.from_edges(header[0], edges)
 
 
-def _int_field(token: str, raw: str, lineno: int) -> int:
-    try:
-        if not token.isascii():
-            raise ValueError
-        return int(token, 10)
-    except ValueError:
-        col = raw.index(token) + 1
-        raise ParseError(f"not a decimal integer: {token!r}", lineno, col) from None
-
-
 def serialize(g: Graph, comments: tuple[str, ...] = ()) -> str:
     """Canonical text for ``g``: header then sorted edges, LF endings."""
     lines = [f"# {c}" for c in comments]
@@ -72,13 +76,17 @@ def serialize(g: Graph, comments: tuple[str, ...] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def decode(data: bytes) -> str:
+    """The text of an edge-list file's bytes, raising ParseError unless ASCII."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not ASCII: {exc.reason}", 1, 1) from None
+
+
 def load(path: str | os.PathLike) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not ASCII: {exc.reason}", 1, 1) from None
-    return parse(text)
+    with open(path, "rb") as fh:
+        return parse(decode(fh.read()))
 
 
 def dump(g: Graph, path: str | os.PathLike, comments: tuple[str, ...] = ()) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import InvalidVertexError, NoPathError, PreconditionError
+from .errors import InvalidVertexError, PreconditionError
 
 INF = math.inf
 
@@ -40,10 +40,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def bit_count(mask: int) -> int:
-    return mask.bit_count()
 
 
 class DistanceMatrix:
@@ -166,18 +162,29 @@ class Graph:
 
     def _bfs_row(self, src: int) -> list[float]:
         row: list[float] = [INF] * self.n
-        seen = frontier = 1 << src
-        d = 0
-        while frontier:
-            for v in iter_bits(frontier):
+        for d, layer in enumerate(self.layers(src)):
+            for v in iter_bits(layer):
                 row[v] = d
+        return row
+
+    def layers(self, src: int, within: int | None = None) -> Iterator[int]:
+        """Yield the breadth-first layers from ``src`` as bitmasks.
+
+        The search stays inside the subgraph induced by ``within`` (all of
+        ``g`` when None); layer ``d``, the ``d``-th mask yielded counting
+        from 0, is the set of vertices at distance ``d`` from ``src`` there.
+        Layer 0 is ``{src}`` whether or not ``src`` lies in ``within``.
+        """
+        allowed = self.full_mask if within is None else within
+        adj = self.adj
+        seen = frontier = 1 << src
+        while frontier:
+            yield frontier
             grow = 0
             for v in iter_bits(frontier):
-                grow |= self.adj[v]
-            frontier = grow & ~seen
+                grow |= adj[v]
+            frontier = grow & allowed & ~seen
             seen |= frontier
-            d += 1
-        return row
 
     @cached_property
     def interval_masks(self) -> tuple[tuple[int, ...], ...]:
@@ -206,13 +213,9 @@ class Graph:
         allowed = self.full_mask if within is None else within
         if not allowed >> v & 1:
             raise PreconditionError(f"vertex {v} is not inside the restriction mask")
-        seen = frontier = 1 << v
-        while frontier:
-            grow = 0
-            for u in iter_bits(frontier):
-                grow |= self.adj[u]
-            frontier = grow & allowed & ~seen
-            seen |= frontier
+        seen = 0
+        for layer in self.layers(v, allowed):
+            seen |= layer
         return seen
 
     def is_connected(self) -> bool:
@@ -279,8 +282,3 @@ def diameter(g: Graph) -> float:
 def require_connected(g: Graph, what: str) -> None:
     if not g.is_connected():
         raise PreconditionError(f"{what} requires a connected graph")
-
-
-def require_same_component(g: Graph, u: int, v: int) -> None:
-    if g.distances.d(u, v) == INF:
-        raise NoPathError(f"vertices {u} and {v} lie in different components")

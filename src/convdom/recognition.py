@@ -146,23 +146,29 @@ def _find_hole(g: Graph) -> tuple[int, ...] | None:
 
 
 def _shortest_path_in(g: Graph, allowed: int, src: int, dst: int) -> tuple[int, ...] | None:
-    parent = {src: -1}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in iter_bits(g.adj[u] & allowed):
-                if w in parent:
-                    continue
-                parent[w] = u
-                if w == dst:
-                    path = [w]
-                    while parent[path[-1]] != -1:
-                        path.append(parent[path[-1]])
-                    return tuple(reversed(path))
-                nxt.append(w)
-        frontier = nxt
-    return None
+    """The lexicographically least shortest ``src,dst``-path inside
+    ``allowed``, or None when ``dst`` is unreachable there.
+
+    With ``back[j]`` the layer at distance ``j`` from ``dst`` and ``src`` in
+    ``back[k]``, step ``i`` goes to the smallest-id neighbour in
+    ``back[k - i]`` (which lies at distance ``i`` from ``src`` too).  A queue
+    BFS from ``src`` scanning neighbours in ascending order returns the same
+    path through its parent pointers: by induction on ``d`` it appends layer
+    ``d`` in lexicographic order of least shortest paths, so each vertex's
+    parent, its first neighbour in layer ``d - 1``, ends the least path to it.
+    """
+    back = []
+    for layer in g.layers(dst, allowed):
+        back.append(layer)
+        if layer >> src & 1:
+            break
+    else:
+        return None
+    path = [src]
+    for ring in reversed(back[:-1]):
+        step = g.adj[path[-1]] & ring
+        path.append((step & -step).bit_length() - 1)
+    return tuple(path)
 
 
 def is_chordal(g: Graph) -> ChordalityResult:
@@ -303,16 +309,9 @@ def _has_dominating_pair_in(g: Graph, mask: int) -> bool:
 
 
 def _far_vertex_in(g: Graph, mask: int, src: int) -> int:
-    seen = frontier = 1 << src
-    last = src
-    while frontier:
-        last = frontier.bit_length() - 1
-        grow = 0
-        for u in iter_bits(frontier):
-            grow |= g.adj[u]
-        frontier = grow & mask & ~seen
-        seen |= frontier
-    return last
+    """The highest id at the largest distance from ``src`` inside ``mask``."""
+    *_, last = g.layers(src, mask)
+    return last.bit_length() - 1
 
 
 def is_dp_graph_bruteforce(g: Graph, bound: int = DP_BRUTEFORCE_DEFAULT_BOUND) -> bool:

@@ -5,9 +5,10 @@ enumerated explicitly, convex supersets are scanned exhaustively, and
 induced subgraphs are matched by raw permutation search.  Keep them dumb.
 """
 
+from collections import deque
 from itertools import combinations, permutations
 
-from convdom import Graph, is_dominating, iter_bits, mask_of
+from convdom import Graph, is_dominating, iter_bits, mask_of, vertices_of
 from convdom.convexity import convex_hull, is_convex, is_isometric
 
 
@@ -91,6 +92,68 @@ def hull_sweep_by_seeds(g: Graph) -> tuple[int, int, int] | None:
                 if best is None or key < best[:2]:
                     best = (*key, seed)
     return best
+
+
+def bfs_distances(g: Graph, src: int, within: int) -> dict[int, int]:
+    """Hop distance from ``src`` to each vertex it reaches inside ``within``,
+    by a queue BFS over vertex ids (``src`` itself at 0)."""
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for w in range(g.n):
+            if within >> w & 1 and g.adj[u] >> w & 1 and w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def isometric_by_induced_distances(g: Graph, members: int) -> bool:
+    """Every member pair is as far apart inside ``members`` as in ``g``,
+    unreachable counting as equal only to unreachable."""
+    for u in iter_bits(members):
+        in_g = bfs_distances(g, u, g.full_mask)
+        inside = bfs_distances(g, u, members)
+        if any(inside.get(w) != in_g.get(w) for w in iter_bits(members)):
+            return False
+    return True
+
+
+def shortest_path_by_parents(g: Graph, allowed: int, src: int, dst: int) -> tuple[int, ...] | None:
+    """Shortest ``src,dst``-path inside ``allowed`` read off the parent
+    pointers of a queue BFS from ``src`` that scans neighbours in ascending
+    order; None when ``dst`` is unreachable or equals ``src``."""
+    parent = {src: -1}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in iter_bits(g.adj[u] & allowed):
+                if w in parent:
+                    continue
+                parent[w] = u
+                if w == dst:
+                    path = [w]
+                    while parent[path[-1]] != -1:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path))
+                nxt.append(w)
+        frontier = nxt
+    return None
+
+
+def hole_by_parents(g: Graph) -> tuple[int, ...] | None:
+    """First hole (v, u, ..., w) over vertices v and non-adjacent neighbour
+    pairs u < w, closed by ``shortest_path_by_parents`` outside N[v]."""
+    for v in range(g.n):
+        for u, w in combinations(vertices_of(g.adj[v]), 2):
+            if g.adj[u] >> w & 1:
+                continue
+            allowed = (g.full_mask & ~g.closed_adj[v]) | (1 << u) | (1 << w)
+            path = shortest_path_by_parents(g, allowed, u, w)
+            if path is not None:
+                return (v,) + path
+    return None
 
 
 def connected_in(g: Graph, mask: int) -> bool:

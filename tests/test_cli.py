@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,18 @@ def run_cli(capsys, *argv):
     if captured.out:
         record = json.loads(captured.out)
     return code, record, captured.err
+
+
+def run_module(*argv):
+    """``python -m convdom`` in a fresh process, on this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "convdom", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 def strip_timings(record):
@@ -105,6 +119,37 @@ def test_parse_error_exit_code(capsys, files):
     assert code == 1
     assert record is None
     assert "loop" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "convex", "{missing}"),
+        ("solve", "isometric", "{dir}"),
+        ("recognize", "{missing}"),
+        ("recognize", "{dir}"),
+        ("oracle", "convex", "{missing}"),
+        ("oracle", "domination", "{dir}"),
+        ("gadget", "{missing}", "--k", "1"),
+        ("gadget", "{dir}", "--k", "1"),
+        ("gadget", "{star4}", "--k", "1", "--out", "{unwritable}"),
+        ("gadget", "{star4}", "--k", "1", "--out", "{dir}"),
+        ("generate", "--family", "Bn", "--n", "2", "--out", "{unwritable}"),
+        ("generate", "--family", "Bn", "--n", "2", "--out", "{dir}"),
+    ],
+)
+def test_file_error_exit_code(capsys, files, tmp_path, argv):
+    names = {
+        "missing": tmp_path / "missing.elist",
+        "dir": tmp_path,
+        "star4": files["star4"],
+        "unwritable": tmp_path / "no-such-dir" / "out.elist",
+    }
+    code, record, err = run_cli(capsys, *(a.format(**names) for a in argv))
+    assert code == 2
+    assert record is None
+    assert err.startswith("file error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_oracle_and_size_guard(capsys, files):
@@ -181,11 +226,7 @@ def test_recognize_examples(capsys, tmp_path):
 
 
 def test_module_entry_point(files):
-    proc = subprocess.run(
-        [sys.executable, "-m", "convdom", "recognize", str(files["p4"])],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("recognize", files["p4"])
     assert proc.returncode == 0
     record = json.loads(proc.stdout)
     assert record["chordal"] is True
@@ -194,11 +235,7 @@ def test_module_entry_point(files):
 
 
 def test_unknown_flag_is_a_usage_error(files):
-    proc = subprocess.run(
-        [sys.executable, "-m", "convdom", "solve", "convex", str(files["p6"]), "--jobs", "2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("solve", "convex", files["p6"], "--jobs", "2")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "--jobs" in proc.stderr

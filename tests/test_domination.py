@@ -4,7 +4,6 @@ from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from convdom import (
     DominatingPair,
@@ -39,6 +38,7 @@ from convdom import records
 
 from convdom.domination import _hull_sweep, _small_idset
 from oracles import gamma_plain, hull_sweep_by_seeds, small_idset_by_exhaustion
+from strategies import connected_graphs
 
 # One connected weak-dp graph whose different verified pairs drive the staged
 # solver through stages 2, 3, and 5 (found by scanning seeded random graphs,
@@ -229,17 +229,6 @@ def test_gamma_iso_pair_stage1_examples():
     # diameter 6 rules out every set of at most four vertices
     p7 = gamma_iso_pair(make_path(7), DominatingPair(0, 6, True))
     assert p7.value == 5 and p7.stage != 1
-
-
-@st.composite
-def connected_graphs(draw, max_n=12):
-    """A random recursive tree plus extra edges: connected by construction."""
-    n = draw(st.integers(1, max_n))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    if n > 1:
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
-    return Graph.from_edges(n, edges)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

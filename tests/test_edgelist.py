@@ -1,7 +1,7 @@
 import pytest
 
 from convdom import Graph, ParseError, make_Bn, make_cycle, make_path
-from convdom.edgelist import dump, load, parse, serialize
+from convdom.edgelist import decode, dump, load, parse, serialize
 
 
 def test_parse_basic():
@@ -32,6 +32,17 @@ def test_round_trip_is_byte_identical():
         ("3 1\n0 1\n1 2\n", "more than the declared", 3),
         ("3\n", "two integers", 1),
         ("3 x\n", "not a decimal integer", 1),
+        # only LF or CRLF breaks a line
+        ("3 2\x0c0 1\x0b1 2\n", "two integers", 1),
+        ("2 1\r0 1\n", "two integers", 1),
+        ("2 1\x1c0 1\n", "two integers", 1),
+        ("2 1\x1d0 1\n", "two integers", 1),
+        ("2 1\x1e0 1\n", "two integers", 1),
+        ("2 1\r\r\n0 1\n", "not a decimal integer", 1),
+        # integers are ASCII -?[0-9]+
+        ("1_0 0\n", "not a decimal integer", 1),
+        ("+3 0\n", "not a decimal integer", 1),
+        ("3 1\n0 \uff12\n", "not a decimal integer", 2),
     ],
 )
 def test_parse_error_diagnostics(text, fragment, line):
@@ -46,6 +57,20 @@ def test_parse_error_column_points_at_token():
         parse("3 2\n0 1\n0 zz\n")
     assert err.value.line == 3
     assert err.value.column == 3
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("-1 -\n", 1, 4),
+        ("3 1\n-0\t-\n", 2, 4),
+        ("3 1\n0\t\tzz # 0 zz\n", 2, 4),
+    ],
+)
+def test_parse_error_column_is_the_tokens_own(text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_file_round_trip(tmp_path):
@@ -63,3 +88,14 @@ def test_non_ascii_rejected(tmp_path):
     path.write_bytes("2 1\n0 1 # caf\xc3\xa9\n".encode("latin-1"))
     with pytest.raises(ParseError):
         load(path)
+    with pytest.raises(ParseError):
+        decode(b"2 1\n0 1 # \xff\n")
+
+
+def test_load_breaks_lines_only_at_lf(tmp_path):
+    path = tmp_path / "cr.elist"
+    path.write_bytes(b"2 1\r0 1\r")
+    with pytest.raises(ParseError):
+        load(path)
+    path.write_bytes(b"2 1\r\n0 1\r\n")
+    assert load(path) == make_path(2)
