@@ -166,8 +166,10 @@ def _cmd_gadget(args) -> dict:
     report = verify_gadget_equivalence(g, args.k)
     gadget = report.gadget
     out = args.out or args.input.with_suffix(".gadget.elist")
+    # the file is ASCII and a newline would end the comment: escape the name
+    name = args.input.name.encode("unicode_escape").decode("ascii")
     comments = (
-        f"gadget of {args.input.name}: x={gadget.x} y={gadget.y} y_prime={gadget.y_prime}",
+        f"gadget of {name}: x={gadget.x} y={gadget.y} y_prime={gadget.y_prime}",
         "source_map " + " ".join(f"{i}->{v}" for i, v in enumerate(gadget.source_map)),
     )
     edgelist.dump(gadget.graph, out, comments)

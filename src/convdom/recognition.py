@@ -258,20 +258,28 @@ def is_valid_split_partition(g: Graph, part: SplitPartition) -> bool:
 # -- dominating pairs ---------------------------------------------------------
 
 
-def _pair_dominates_in(g: Graph, mask: int, x: int, y: int) -> bool:
-    """Component criterion for a dominating pair inside the induced subgraph
-    on ``mask``: whenever some vertex sees neither x nor y, dropping its
-    closed neighborhood must separate x from y (so no path avoids it)."""
+def _bad_partners(g: Graph, mask: int) -> list[int]:
+    """``bad[x]`` for each x in ``mask``: the y for which (x, y) is not a
+    dominating pair of the subgraph induced by ``mask``.
+
+    A path there misses N[v] exactly when it runs inside ``mask - N[v]``, so
+    some x,y-path fails to dominate exactly when x and y share a component
+    of ``mask - N[v]`` for some v in ``mask``.  Each ``mask - N[v]`` is
+    labelled once, and bad[x] is the union of its components holding x.
+    For x = y the only path is {x}, which dominates exactly when N[x]
+    covers ``mask``; and x lies in bad[x] exactly when some v in ``mask``
+    lies outside N[x].
+    """
     cadj = g.closed_adj
-    xbit = 1 << x
-    ybit = 1 << y
+    bad = [0] * g.n
     for v in iter_bits(mask):
-        nv = cadj[v] & mask
-        if nv & xbit or nv & ybit:
-            continue
-        if g.component_mask(x, mask & ~nv) & ybit:
-            return False
-    return True
+        rest = mask & ~cadj[v]
+        while rest:
+            comp = g.component_mask((rest & -rest).bit_length() - 1, rest)
+            for x in iter_bits(comp):
+                bad[x] |= comp
+            rest &= ~comp
+    return bad
 
 
 def is_dominating_pair(g: Graph, x: int, y: int) -> bool:
@@ -279,43 +287,24 @@ def is_dominating_pair(g: Graph, x: int, y: int) -> bool:
     require_connected(g, "dominating-pair verification")
     g._check_vertex(x)
     g._check_vertex(y)
-    return _pair_dominates_in(g, g.full_mask, x, y)
+    return not _bad_partners(g, g.full_mask)[x] >> y & 1
 
 
 def find_dominating_pair(g: Graph) -> DominatingPair | None:
-    """First verified pair (x, y), x <= y, in lexicographic scan order."""
+    """The lexicographically first pair (x, y), x <= y: the least x with a
+    partner y >= x outside bad[x], and the least such y."""
     require_connected(g, "dominating-pair search")
+    bad = _bad_partners(g, g.full_mask)
     for x in range(g.n):
-        for y in range(x, g.n):
-            if _pair_dominates_in(g, g.full_mask, x, y):
-                return DominatingPair(x, y, verified=True)
+        partners = g.full_mask & ~bad[x] & -(1 << x)
+        if partners:
+            return DominatingPair(x, (partners & -partners).bit_length() - 1, verified=True)
     return None
 
 
-def _has_dominating_pair_in(g: Graph, mask: int) -> bool:
-    """Existence check inside an induced subgraph, diametral pair first."""
-    verts = vertices_of(mask)
-    if len(verts) == 1:
-        return True
-    a = _far_vertex_in(g, mask, verts[0])
-    b = _far_vertex_in(g, mask, a)
-    if _pair_dominates_in(g, mask, a, b):
-        return True
-    for i, x in enumerate(verts):
-        for y in verts[i:]:
-            if (x, y) != (min(a, b), max(a, b)) and _pair_dominates_in(g, mask, x, y):
-                return True
-    return False
-
-
-def _far_vertex_in(g: Graph, mask: int, src: int) -> int:
-    """The highest id at the largest distance from ``src`` inside ``mask``."""
-    *_, last = g.layers(src, mask)
-    return last.bit_length() - 1
-
-
 def is_dp_graph_bruteforce(g: Graph, bound: int = DP_BRUTEFORCE_DEFAULT_BOUND) -> bool:
-    """Definitional oracle: every connected induced subgraph has a pair.
+    """Definitional oracle: every connected induced subgraph has a pair,
+    that is some x in it whose bad partners are not all of it.
 
     Exponential in ``g.n``; refuses graphs above ``bound``.
     """
@@ -325,7 +314,8 @@ def is_dp_graph_bruteforce(g: Graph, bound: int = DP_BRUTEFORCE_DEFAULT_BOUND) -
         low = mask & -mask
         if g.component_mask(low.bit_length() - 1, mask) != mask:
             continue
-        if not _has_dominating_pair_in(g, mask):
+        bad = _bad_partners(g, mask)
+        if all(bad[x] == mask for x in iter_bits(mask)):
             return False
     return True
 

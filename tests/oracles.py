@@ -38,6 +38,30 @@ def dp_by_path_enumeration(g: Graph, x: int, y: int) -> bool:
     return verdict
 
 
+def pair_dominates_by_components(g: Graph, mask: int, x: int, y: int) -> bool:
+    """Component criterion for one pair inside the subgraph induced by
+    ``mask``: whenever some vertex sees neither x nor y, dropping its closed
+    neighborhood must separate x from y (so no path avoids it)."""
+    for v in iter_bits(mask):
+        nv = g.closed_adj[v] & mask
+        if nv >> x & 1 or nv >> y & 1:
+            continue
+        if g.component_mask(x, mask & ~nv) >> y & 1:
+            return False
+    return True
+
+
+def first_pair_by_scan(g: Graph, mask: int) -> tuple[int, int] | None:
+    """First pair (x, y), x <= y, inside ``mask`` in lexicographic order,
+    each tested on its own by ``pair_dominates_by_components``."""
+    verts = vertices_of(mask)
+    for i, x in enumerate(verts):
+        for y in verts[i:]:
+            if pair_dominates_by_components(g, mask, x, y):
+                return x, y
+    return None
+
+
 def min_convex_superset(g: Graph, seed: int) -> int:
     """Smallest convex superset of ``seed`` by scanning every superset."""
     comp = g.full_mask & ~seed

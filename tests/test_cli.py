@@ -179,6 +179,21 @@ def test_gadget_command(capsys, files, tmp_path):
     assert header.startswith("#") and "x=4" in header
 
 
+@pytest.mark.parametrize("name", ["café.elist", "two\nlines.elist"])
+def test_gadget_escapes_the_input_name(capsys, files, tmp_path, name):
+    named = tmp_path / name
+    named.write_bytes(files["star4"].read_bytes())
+    out = tmp_path / "named.gadget.elist"
+    assert run_cli(capsys, "gadget", named, "--k", "1", "--out", out)[0] == 0
+    plain = tmp_path / "plain.gadget.elist"
+    assert run_cli(capsys, "gadget", files["star4"], "--k", "1", "--out", plain)[0] == 0
+    raw = out.read_text(encoding="ascii")
+    assert parse(raw) == parse(plain.read_text())
+    comments = [line for line in raw.splitlines() if line.startswith("#")]
+    assert len(comments) == 2
+    assert comments[0].startswith("# gadget of " + name.encode("unicode_escape").decode())
+
+
 def test_generate_round_trip(capsys, tmp_path):
     out = tmp_path / "b2.elist"
     code, record, _ = run_cli(capsys, "generate", "--family", "Bn", "--n", "2", "--out", out)

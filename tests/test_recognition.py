@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convdom import (
     DominatingPair,
@@ -12,6 +14,7 @@ from convdom import (
     is_dominating_pair,
     is_dp_graph_bruteforce,
     is_valid_split_partition,
+    iter_bits,
     make_A1,
     make_Bn,
     make_complete,
@@ -24,14 +27,19 @@ from convdom import (
     vertices_of,
     verify_witness,
 )
+from convdom.recognition import _bad_partners
 
 from oracles import (
     all_cliques_of_maximum_size,
+    connected_in,
     dp_by_path_enumeration,
+    first_pair_by_scan,
     has_induced_long_cycle,
     induced_embedding_exists,
     minimal_cd_sets,
+    pair_dominates_by_components,
 )
+from strategies import connected_graphs
 
 
 # -- chordality ---------------------------------------------------------------
@@ -185,6 +193,45 @@ def test_find_dominating_pair_examples():
 
     assert find_dominating_pair(make_cycle(7)) is None
     assert find_dominating_pair(make_path(1)) == DominatingPair(0, 0, True)
+
+
+@st.composite
+def graphs_with_connected_masks(draw):
+    """A connected graph and the component of a random vertex mask's least
+    vertex: a connected induced subgraph."""
+    g = draw(connected_graphs())
+    mask = draw(st.integers(1, g.full_mask))
+    return g, g.component_mask((mask & -mask).bit_length() - 1, mask)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(graphs_with_connected_masks())
+@example((make_path(6), 0b111111))  # first pair (0, 4)
+@example((make_cycle(7), 0b1111111))  # no pair
+@example((make_cycle(7), 0b0111111))  # P6 inside C7
+def test_pair_routine_matches_per_pair_components(case):
+    g, mask = case
+    first = first_pair_by_scan(g, g.full_mask)
+    expected = None if first is None else DominatingPair(*first, verified=True)
+    assert find_dominating_pair(g) == expected
+    for x in range(g.n):
+        for y in range(g.n):
+            assert is_dominating_pair(g, x, y) == pair_dominates_by_components(
+                g, g.full_mask, x, y
+            ), (x, y)
+
+    bad = _bad_partners(g, mask)
+    for x in iter_bits(mask):
+        for y in iter_bits(mask):
+            assert (bad[x] >> y & 1) != pair_dominates_by_components(g, mask, x, y), (x, y)
+    has_pair = first_pair_by_scan(g, mask) is not None
+    assert any(bad[x] != mask for x in iter_bits(mask)) == has_pair
+    if g.n <= 7:
+        assert is_dp_graph_bruteforce(g) == all(
+            first_pair_by_scan(g, m) is not None
+            for m in range(1, g.full_mask + 1)
+            if connected_in(g, m)
+        )
 
 
 # -- induced-subgraph search ------------------------------------------------------

@@ -21,7 +21,7 @@ from convdom import (
     random_connected,
     vertices_of,
 )
-from convdom.recognition import _has_dominating_pair_in
+from convdom.recognition import _bad_partners
 
 from oracles import (
     connected_in,
@@ -31,7 +31,7 @@ from oracles import (
 )
 
 
-def test_pair_existence_shortcut_matches_plain_scan():
+def test_pair_existence_from_bad_partners_matches_plain_scan():
     rng = random.Random(41)
     for trial in range(150):
         n = 4 + trial % 6
@@ -46,7 +46,8 @@ def test_pair_existence_shortcut_matches_plain_scan():
                 for i, x in enumerate(verts)
                 for y in verts[i:]
             )
-            assert _has_dominating_pair_in(g, mask) == plain
+            bad = _bad_partners(g, mask)
+            assert any(bad[x] != mask for x in verts) == plain
 
 
 def _induced_with_pair(g, mask, x, y):
