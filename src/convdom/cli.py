@@ -5,8 +5,8 @@ as a single JSON line and a human summary goes to stderr.  Exit codes:
 0 success, 1 parse error, 2 wrong class, violated precondition, a
 usage error (an unknown flag or a malformed argument, reported by
 argparse) or a file error (an input that cannot be read or an ``--out``
-that cannot be written), 3 size-guard or search-cap exhaustion.  Usage
-and file errors write no record on stdout.
+that cannot be written), 3 a size guard exceeded or a rejection sampler
+giving up.  Usage and file errors write no record on stdout.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from pathlib import Path
 from . import edgelist, records
 from .domination import (
     BRUTEFORCE_DEFAULT_BOUND,
-    PATH_CAP_DEFAULT,
     gamma_bruteforce,
     gamma_con_bruteforce,
     gamma_con_hull4,
@@ -56,7 +55,6 @@ def _parser() -> argparse.ArgumentParser:
     solve.add_argument("input", type=Path)
     solve.add_argument("--trust-class", action="store_true",
                        help="skip class recognition; certificate marked assumed")
-    solve.add_argument("--path-cap", type=int, default=PATH_CAP_DEFAULT, metavar="N")
     solve.set_defaults(func=_cmd_solve)
 
     recognize = sub.add_parser("recognize", help="report graph-class membership")
@@ -106,7 +104,7 @@ def _cmd_solve(args) -> dict:
         pair = find_dominating_pair(g)
         if pair is None:
             raise WrongClassError("graph has no dominating pair")
-        result = gamma_iso_pair(g, pair, cap=args.path_cap)
+        result = gamma_iso_pair(g, pair)
         record["pair"] = [pair.x, pair.y]
     record.update(records.solver_fields(result))
     _summary(f"{args.kind} domination number {result.value}, "

@@ -17,17 +17,11 @@ from functools import lru_cache
 from itertools import combinations
 
 from .convexity import HullTrace, closure, convex_hull, is_convex, is_isometric
-from .errors import (
-    PreconditionError,
-    ResourceLimitError,
-    SizeGuardError,
-    WrongClassError,
-)
+from .errors import PreconditionError, SizeGuardError, WrongClassError
 from .graph import Graph, is_dominating, iter_bits, mask_of, require_connected, vertices_of
 from .recognition import DominatingPair, find_dominating_pair, is_chordal_dp_graph
 
 BRUTEFORCE_DEFAULT_BOUND = 14
-PATH_CAP_DEFAULT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -215,20 +209,19 @@ def find_dominating_shortest_path(
     a: int,
     b: int,
     length: int,
-    cap: int = PATH_CAP_DEFAULT,
 ) -> tuple[int, ...] | None:
     """First dominating shortest ``a,b``-path in lexicographic DFS order.
 
     Explores the layered shortest-path structure between ``a`` and ``b``
-    with domination-feasibility pruning.  Returns None when no shortest
-    path dominates; raises ResourceLimitError when ``cap`` node expansions
-    are exhausted first (never silently treated as "none").
+    with domination-feasibility pruning, entering each edge of that
+    structure at most once (see ``_search_shortest_path``), so the search
+    is polynomial.  Returns None when no shortest path dominates.
     """
     g._check_vertex(a)
     g._check_vertex(b)
     if g.distances.d(a, b) != length:
         raise PreconditionError(f"d({a},{b}) != {length}")
-    return _search_shortest_path(g, a, b, length, 0, cap)
+    return _search_shortest_path(g, a, b, length, 0)
 
 
 def _search_shortest_path(
@@ -237,8 +230,23 @@ def _search_shortest_path(
     b: int,
     length: int,
     allowed_undominated: int,
-    cap: int,
 ) -> tuple[int, ...] | None:
+    """First shortest ``a,b``-path, in lexicographic DFS order, whose closed
+    neighborhood covers every vertex outside ``allowed_undominated``.
+
+    A step appends w at position i + 1 unless some vertex outside the slack
+    is left that neither the prefix nor any layer from i + 2 on can
+    dominate.  A step (u, w) whose subtree failed is never entered again,
+    and skipping it is exact.  Let path[i] = u, so d(a, u) = i.  The prune
+    has already forced every vertex at distance <= i - 1 from ``a`` to be
+    dominated or tolerated.  A vertex at distance >= i has neighbors only
+    at distance >= i - 1, so of the prefix only path[i - 1] and path[i]
+    can have dominated it.  So the outcome below (path[i - 1], u) does not
+    depend on the rest of the prefix, and the first path found is the one
+    the plain DFS finds.  Each step either fails once or lies on the
+    returned path, so the expansions number at most one per edge of the
+    shortest-path DAG plus the path itself.
+    """
     dist = g.distances
     da = dist[a]
     db = dist[b]
@@ -255,16 +263,14 @@ def _search_shortest_path(
     full = g.full_mask
     slack = allowed_undominated
     path = [a]
-    expansions = 0
+    failed: set[tuple[int, int]] = set()
 
     def dfs(u: int, i: int, dominated: int) -> bool:
-        nonlocal expansions
-        expansions += 1
-        if expansions > cap:
-            raise ResourceLimitError(f"path search cap {cap} exhausted")
         if i == length:
             return not full & ~(dominated | slack)
         for w in iter_bits(g.adj[u] & layers[i + 1]):
+            if (u, w) in failed:
+                continue
             grown = dominated | g.closed_adj[w]
             if full & ~(grown | suffix[i + 2] | slack):
                 continue  # some vertex can no longer be dominated
@@ -272,6 +278,7 @@ def _search_shortest_path(
             if dfs(w, i + 1, grown):
                 return True
             path.pop()
+            failed.add((u, w))
         return False
 
     if dfs(a, 0, g.closed_adj[a]):
@@ -319,11 +326,7 @@ def _small_idset(g: Graph) -> tuple[int, int] | None:
     return None
 
 
-def gamma_iso_pair(
-    g: Graph,
-    pair: DominatingPair,
-    cap: int = PATH_CAP_DEFAULT,
-) -> SolverResult:
+def gamma_iso_pair(g: Graph, pair: DominatingPair) -> SolverResult:
     """Isometric domination number given a verified dominating pair.
 
     Stages: (1) find the first isometric dominating set of size <= 4,
@@ -335,7 +338,8 @@ def gamma_iso_pair(
     leftovers sit inside one endpoint neighborhood, worth d(x,y) after
     adjoining that endpoint; (4) hunt a dominating shortest path at
     distance d(x,y)-1, worth d(x,y); (5) fall back to a shortest
-    x,y-path, worth d(x,y)+1.
+    x,y-path, worth d(x,y)+1.  Each path search enters every edge of its
+    shortest-path DAG at most once, so stages 2-5 take polynomial time.
     """
     require_connected(g, "gamma_iso_pair")
     if not pair.verified:
@@ -372,7 +376,7 @@ def gamma_iso_pair(
     # a shortest x,y-path always remains an isometric dominating set
     tasks.append((5, x, y, d, g.full_mask, None))
     for stage, a, b, length, slack, endpoint in tasks:
-        path = _search_shortest_path(g, a, b, length, slack, cap)
+        path = _search_shortest_path(g, a, b, length, slack)
         if path is None:
             continue
         witness = mask_of(path)
@@ -389,10 +393,10 @@ def gamma_iso_pair(
     raise RuntimeError("shortest x,y-path vanished")
 
 
-def gamma_iso(g: Graph, cap: int = PATH_CAP_DEFAULT) -> SolverResult:
+def gamma_iso(g: Graph) -> SolverResult:
     """Find a dominating pair, then delegate to the staged algorithm."""
     require_connected(g, "gamma_iso")
     pair = find_dominating_pair(g)
     if pair is None:
         raise WrongClassError("graph has no dominating pair")
-    return gamma_iso_pair(g, pair, cap=cap)
+    return gamma_iso_pair(g, pair)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import re
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 from .graph import Graph
 
 # _PAIR accepts a data line in one match; the other two only diagnose a
@@ -69,7 +69,14 @@ def parse(text: str) -> Graph:
 
 
 def serialize(g: Graph, comments: tuple[str, ...] = ()) -> str:
-    """Canonical text for ``g``: header then sorted edges, LF endings."""
+    """Canonical text for ``g``: header then sorted edges, LF endings.
+
+    Raises PreconditionError for a comment that is not ASCII or holds a
+    newline, which would end the comment and start a data line.
+    """
+    for c in comments:
+        if "\n" in c or not c.isascii():
+            raise PreconditionError(f"comment must be one ASCII line: {c!r}")
     lines = [f"# {c}" for c in comments]
     lines.append(f"{g.n} {g.edge_count}")
     lines.extend(f"{u} {v}" for u, v in g.edges())
@@ -90,5 +97,8 @@ def load(path: str | os.PathLike) -> Graph:
 
 
 def dump(g: Graph, path: str | os.PathLike, comments: tuple[str, ...] = ()) -> None:
+    """Write ``serialize(g, comments)`` to ``path``; a rejected comment
+    raises before the file is opened."""
+    text = serialize(g, comments)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(serialize(g, comments))
+        fh.write(text)

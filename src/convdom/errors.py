@@ -31,7 +31,7 @@ class SizeGuardError(ConvdomError, RuntimeError):
 
 
 class ResourceLimitError(ConvdomError, RuntimeError):
-    """A bounded search exhausted its expansion cap before deciding."""
+    """A rejection sampler gave up after its bounded number of candidates."""
 
 
 class WrongClassError(ConvdomError, RuntimeError):

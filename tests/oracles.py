@@ -8,7 +8,7 @@ induced subgraphs are matched by raw permutation search.  Keep them dumb.
 from collections import deque
 from itertools import combinations, permutations
 
-from convdom import Graph, is_dominating, iter_bits, mask_of, vertices_of
+from convdom import Graph, ResourceLimitError, is_dominating, iter_bits, mask_of, vertices_of
 from convdom.convexity import convex_hull, is_convex, is_isometric
 
 
@@ -163,6 +163,61 @@ def shortest_path_by_parents(g: Graph, allowed: int, src: int, dst: int) -> tupl
                     return tuple(reversed(path))
                 nxt.append(w)
         frontier = nxt
+    return None
+
+
+def shortest_path_by_dfs(
+    g: Graph,
+    a: int,
+    b: int,
+    length: int,
+    allowed_undominated: int,
+    cap: int = 10 ** 6,
+) -> tuple[int, ...] | None:
+    """First shortest ``a,b``-path in lexicographic DFS order whose closed
+    neighborhood covers every vertex outside ``allowed_undominated``.
+
+    A plain DFS over the layered shortest-path structure, pruned only when
+    some vertex can no longer be dominated; it may revisit a step many
+    times, so it raises ResourceLimitError after ``cap`` expansions.
+    """
+    dist = g.distances
+    da = dist[a]
+    db = dist[b]
+    layers = [0] * (length + 1)
+    for w in range(g.n):
+        if da[w] + db[w] == length:
+            layers[int(da[w])] |= 1 << w
+    suffix = [0] * (length + 2)
+    for i in range(length, -1, -1):
+        union = 0
+        for w in iter_bits(layers[i]):
+            union |= g.closed_adj[w]
+        suffix[i] = suffix[i + 1] | union
+    full = g.full_mask
+    slack = allowed_undominated
+    path = [a]
+    expansions = 0
+
+    def dfs(u: int, i: int, dominated: int) -> bool:
+        nonlocal expansions
+        expansions += 1
+        if expansions > cap:
+            raise ResourceLimitError(f"path search cap {cap} exhausted")
+        if i == length:
+            return not full & ~(dominated | slack)
+        for w in iter_bits(g.adj[u] & layers[i + 1]):
+            grown = dominated | g.closed_adj[w]
+            if full & ~(grown | suffix[i + 2] | slack):
+                continue
+            path.append(w)
+            if dfs(w, i + 1, grown):
+                return True
+            path.pop()
+        return False
+
+    if dfs(a, 0, g.closed_adj[a]):
+        return tuple(path)
     return None
 
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ from convdom import (
     make_star,
     mask_of,
 )
-from convdom.cli import main
+from convdom.cli import _parser, main
 from convdom.edgelist import dump, parse, serialize
 
 
@@ -26,7 +28,6 @@ def files(tmp_path):
     for name, g in {
         "p4": make_path(4),
         "p6": make_path(6),
-        "p8": make_path(8),
         "c7": make_cycle(7),
         "star4": make_star(4),
         # five legs of length 3: no hull of at most four vertices dominates
@@ -161,12 +162,6 @@ def test_oracle_and_size_guard(capsys, files):
     assert record is None
 
 
-def test_path_cap_exit_code(capsys, files):
-    code, _, err = run_cli(capsys, "solve", "isometric", files["p8"], "--path-cap", "0")
-    assert code == 3
-    assert "cap" in err
-
-
 def test_gadget_command(capsys, files, tmp_path):
     out = tmp_path / "star.gadget.elist"
     code, record, _ = run_cli(capsys, "gadget", files["star4"], "--k", "1", "--out", out)
@@ -250,7 +245,33 @@ def test_module_entry_point(files):
 
 
 def test_unknown_flag_is_a_usage_error(files):
-    proc = run_module("solve", "convex", files["p6"], "--jobs", "2")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "--jobs" in proc.stderr
+    for kind, flag, value in (("convex", "--jobs", "2"), ("isometric", "--path-cap", "5")):
+        proc = run_module("solve", kind, files["p6"], flag, value)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert flag in proc.stderr
+
+
+def test_readme_flags_exist():
+    """Every flag the README shows in a ``convdom`` command line or in
+    inline code is an option of some subcommand."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    fence = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+    spans = [
+        line
+        for block in fence.findall(readme)
+        for line in block.splitlines()
+        if line.startswith(("convdom ", "python -m convdom "))
+    ]
+    spans += re.findall(r"`[^`]+`", fence.sub("", readme))
+    named = {flag for span in spans for flag in re.findall(r"--[a-z][a-z0-9-]*", span)}
+    subparsers = next(
+        a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        flag
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+    }
+    assert named and named <= options, sorted(named - options)

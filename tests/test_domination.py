@@ -4,12 +4,12 @@ from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convdom import (
     DominatingPair,
     Graph,
     PreconditionError,
-    ResourceLimitError,
     SizeGuardError,
     WrongClassError,
     all_pairs_distances,
@@ -36,8 +36,13 @@ from convdom import (
 )
 from convdom import records
 
-from convdom.domination import _hull_sweep, _small_idset
-from oracles import gamma_plain, hull_sweep_by_seeds, small_idset_by_exhaustion
+from convdom.domination import _hull_sweep, _search_shortest_path, _small_idset
+from oracles import (
+    gamma_plain,
+    hull_sweep_by_seeds,
+    shortest_path_by_dfs,
+    small_idset_by_exhaustion,
+)
 from strategies import connected_graphs
 
 # One connected weak-dp graph whose different verified pairs drive the staged
@@ -200,8 +205,57 @@ def test_find_dominating_shortest_path_examples():
     assert find_dominating_shortest_path(make_cycle(7), 0, 3, 3) is None
     with pytest.raises(PreconditionError):
         find_dominating_shortest_path(make_path(6), 0, 5, 4)
-    with pytest.raises(ResourceLimitError):
-        find_dominating_shortest_path(make_cycle(6), 0, 3, 3, cap=1)
+
+
+@st.composite
+def _path_searches(draw):
+    """A connected graph, two vertices and a tolerated mask."""
+    g = draw(connected_graphs(max_n=14))
+    a = draw(st.integers(0, g.n - 1))
+    b = draw(st.integers(0, g.n - 1))
+    slack = draw(st.one_of(st.just(0), st.integers(0, g.full_mask)))
+    return g, a, b, slack
+
+
+# 0 - {1, 2} - 3 - {5, 6} - 7 with 4 ~ 2, 6 and 8 ~ 5: the step (1, 3) fails
+# only because 4 stays undominated, so the step (2, 3) must still be tried
+@example((Graph.from_edges(9, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (3, 6),
+                               (4, 6), (5, 7), (6, 7), (5, 8)]), 0, 7, 0))
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_path_searches())
+def test_path_search_matches_plain_dfs(search):
+    g, a, b, slack = search
+    length = int(g.distances.d(a, b))
+    expected = shortest_path_by_dfs(g, a, b, length, slack)
+    assert _search_shortest_path(g, a, b, length, slack) == expected
+    if slack == 0:
+        assert find_dominating_shortest_path(g, a, b, length) == expected
+
+
+def _diamond_chain(k):
+    """x - c0, then k diamonds c(i-1) - {u(i), v(i)} - c(i), then c(k) - y,
+    plus w1 ~ u(k), y and w2 ~ v(k), y; as (graph, x, y).
+
+    Every shortest c0,c(k)-path misses w1 or w2, and only the last diamond
+    tells, so a search that re-enters failed steps takes 2^k expansions.
+    """
+    edges = [(0, 1)]  # x = 0, c0 = 1
+    for i in range(1, k + 1):
+        c_prev, u, v, c = 3 * i - 2, 3 * i - 1, 3 * i, 3 * i + 1
+        edges += [(c_prev, u), (c_prev, v), (u, c), (v, c)]
+    y, w1, w2 = 3 * k + 2, 3 * k + 3, 3 * k + 4
+    edges += [(3 * k + 1, y), (3 * k - 1, w1), (y, w1), (3 * k, w2), (y, w2)]
+    return Graph.from_edges(3 * k + 5, [tuple(sorted(e)) for e in edges]), 0, y
+
+
+@pytest.mark.parametrize("k", [19, 100])
+def test_gamma_iso_on_diamond_chain(k):
+    g, x, y = _diamond_chain(k)
+    pair = find_dominating_pair(g)
+    assert (pair.x, pair.y) == (x, y)
+    result = gamma_iso(g)
+    assert (result.value, result.stage) == (2 * k + 2, 3)
+    assert result.certificate.dominating and result.certificate.isometric
 
 
 # -- staged isometric solver ----------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from convdom import Graph, ParseError, make_Bn, make_cycle, make_path
+from convdom import Graph, ParseError, PreconditionError, make_Bn, make_cycle, make_path
 from convdom.edgelist import decode, dump, load, parse, serialize
 
 
@@ -81,6 +81,18 @@ def test_file_round_trip(tmp_path):
     dump(g, path, comments=("hello",))
     assert load(path) == g
     assert path.read_text().startswith("# hello\n")
+
+
+@pytest.mark.parametrize("comment", ["a\n5 0", "caf\xe9"])
+def test_bad_comment_rejected_before_the_file_is_touched(tmp_path, comment):
+    with pytest.raises(PreconditionError):
+        serialize(make_path(2), (comment,))
+    path = tmp_path / "kept.elist"
+    dump(make_cycle(5), path)
+    before = path.read_bytes()
+    with pytest.raises(PreconditionError):
+        dump(make_path(2), path, (comment,))
+    assert path.read_bytes() == before
 
 
 def test_non_ascii_rejected(tmp_path):
