@@ -8,7 +8,6 @@ where each stage of the search is the one that fires.
 from convdom import (
     DominatingPair,
     Graph,
-    all_pairs_distances,
     find_dominating_pair,
     gamma_iso_bruteforce,
     gamma_iso_pair,
@@ -27,7 +26,7 @@ STAGE4_EDGES = [
 
 def show(name, g, x, y):
     assert is_dominating_pair(g, x, y)
-    d = int(all_pairs_distances(g).d(x, y))
+    d = int(g.distances.d(x, y))
     result = gamma_iso_pair(g, DominatingPair(x, y, True))
     oracle = gamma_iso_bruteforce(g).value
     print(f"{name}: pair ({x},{y}) at distance {d}")

@@ -26,7 +26,6 @@ from .errors import (
     NoPathError,
     ParseError,
     PreconditionError,
-    ResourceLimitError,
     SizeGuardError,
     WrongClassError,
 )
@@ -40,23 +39,17 @@ from .generators import (
     make_path,
     make_star,
     random_chordal,
-    random_chordal_dp,
     random_connected,
     random_interval,
     random_split,
-    random_weak_dp,
 )
 from .graph import (
     INF,
     DistanceMatrix,
     Graph,
-    all_pairs_distances,
-    closed_neighborhood,
-    diameter,
     is_dominating,
     iter_bits,
     mask_of,
-    private_neighbors,
     vertices_of,
 )
 from .recognition import (
@@ -72,10 +65,9 @@ from .recognition import (
     is_dominating_pair,
     is_dp_graph_bruteforce,
     is_valid_split_partition,
-    maximum_clique,
     split_partition,
     verify_witness,
 )
 from .reduction import EquivalenceReport, GadgetOutput, build_np_gadget, verify_gadget_equivalence
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -5,8 +5,9 @@ as a single JSON line and a human summary goes to stderr.  Exit codes:
 0 success, 1 parse error, 2 wrong class, violated precondition, a
 usage error (an unknown flag or a malformed argument, reported by
 argparse) or a file error (an input that cannot be read or an ``--out``
-that cannot be written), 3 a size guard exceeded or a rejection sampler
-giving up.  Usage and file errors write no record on stdout.
+that cannot be written), 3 a size guard exceeded: a brute-force oracle or
+the gadget check was given more vertices than its fixed bound.  Usage and
+file errors write no record on stdout.
 """
 
 from __future__ import annotations
@@ -18,20 +19,13 @@ from pathlib import Path
 
 from . import edgelist, records
 from .domination import (
-    BRUTEFORCE_DEFAULT_BOUND,
     gamma_bruteforce,
     gamma_con_bruteforce,
     gamma_con_hull4,
     gamma_iso_bruteforce,
     gamma_iso_pair,
 )
-from .errors import (
-    ConvdomError,
-    ParseError,
-    ResourceLimitError,
-    SizeGuardError,
-    WrongClassError,
-)
+from .errors import ConvdomError, ParseError, SizeGuardError, WrongClassError
 from .generators import RNG_ALGORITHM, GenSpec
 from .graph import Graph
 from .recognition import (
@@ -64,8 +58,6 @@ def _parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="run the brute-force oracles")
     oracle.add_argument("kind", choices=("convex", "isometric", "domination"))
     oracle.add_argument("input", type=Path)
-    oracle.add_argument("--oracle-bound", type=int, default=BRUTEFORCE_DEFAULT_BOUND,
-                        metavar="N")
     oracle.set_defaults(func=_cmd_oracle)
 
     gadget = sub.add_parser("gadget", help="build and verify the hardness gadget")
@@ -151,7 +143,7 @@ def _cmd_oracle(args) -> dict:
         "isometric": gamma_iso_bruteforce,
         "domination": gamma_bruteforce,
     }[args.kind]
-    result = solver(g, bound=args.oracle_bound)
+    result = solver(g)
     record.update(records.solver_fields(result))
     _summary(f"brute-force {args.kind} value {result.value}")
     return record
@@ -227,8 +219,8 @@ def main(argv=None) -> int:
         sys.stdout.write(records.to_line(record))
         _summary(f"wrong class: {exc}")
         return 2
-    except (SizeGuardError, ResourceLimitError) as exc:
-        _summary(f"resource limit: {exc}")
+    except SizeGuardError as exc:
+        _summary(f"size guard: {exc}")
         return 3
     except ConvdomError as exc:
         _summary(f"error: {exc}")

@@ -21,7 +21,7 @@ from .errors import PreconditionError, SizeGuardError, WrongClassError
 from .graph import Graph, is_dominating, iter_bits, mask_of, require_connected, vertices_of
 from .recognition import DominatingPair, find_dominating_pair, is_chordal_dp_graph
 
-BRUTEFORCE_DEFAULT_BOUND = 14
+BRUTEFORCE_BOUND = 14
 
 
 @dataclass(frozen=True)
@@ -66,27 +66,27 @@ def _subsets_by_size(n: int, smallest: int, largest: int):
 # -- brute-force oracles ------------------------------------------------------
 
 
-def gamma_bruteforce(g: Graph, bound: int = BRUTEFORCE_DEFAULT_BOUND) -> SolverResult:
+def gamma_bruteforce(g: Graph) -> SolverResult:
     """Plain domination number by subset enumeration (support plumbing)."""
-    witness = _first_subset(g, bound, lambda mask: True)
+    witness = _first_subset(g, lambda mask: True)
     return SolverResult(witness.bit_count(), witness, "bruteforce", certify(g, witness))
 
 
-def gamma_con_bruteforce(g: Graph, bound: int = BRUTEFORCE_DEFAULT_BOUND) -> SolverResult:
+def gamma_con_bruteforce(g: Graph) -> SolverResult:
     """Convex domination number by subset enumeration."""
-    witness = _first_subset(g, bound, lambda mask: is_convex(g, mask))
+    witness = _first_subset(g, lambda mask: is_convex(g, mask))
     return SolverResult(witness.bit_count(), witness, "bruteforce", certify(g, witness))
 
 
-def gamma_iso_bruteforce(g: Graph, bound: int = BRUTEFORCE_DEFAULT_BOUND) -> SolverResult:
+def gamma_iso_bruteforce(g: Graph) -> SolverResult:
     """Isometric domination number by subset enumeration."""
-    witness = _first_subset(g, bound, lambda mask: is_isometric(g, mask))
+    witness = _first_subset(g, lambda mask: is_isometric(g, mask))
     return SolverResult(witness.bit_count(), witness, "bruteforce", certify(g, witness))
 
 
-def _first_subset(g: Graph, bound: int, extra) -> int:
-    if g.n > bound:
-        raise SizeGuardError(f"brute-force bound {bound} exceeded (n={g.n})")
+def _first_subset(g: Graph, extra) -> int:
+    if g.n > BRUTEFORCE_BOUND:
+        raise SizeGuardError(f"brute-force bound {BRUTEFORCE_BOUND} exceeded (n={g.n})")
     require_connected(g, "brute-force domination search")
     cadj = g.closed_adj
     full = g.full_mask

@@ -27,11 +27,7 @@ class ParseError(ConvdomError, ValueError):
 
 
 class SizeGuardError(ConvdomError, RuntimeError):
-    """An exponential routine was asked to exceed its configured bound."""
-
-
-class ResourceLimitError(ConvdomError, RuntimeError):
-    """A rejection sampler gave up after its bounded number of candidates."""
+    """An exponential routine refused an input above its fixed vertex bound."""
 
 
 class WrongClassError(ConvdomError, RuntimeError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError
 from .graph import Graph, iter_bits
 
 RNG_ALGORITHM = "mt19937"
@@ -19,10 +19,6 @@ RANDOM_FAMILIES = ("random_chordal", "random_split", "random_interval")
 FAMILIES = ("path", "cycle", "star", "complete", "A1", "Bn") + RANDOM_FAMILIES
 
 DEFAULT_DENSITY = 0.5
-
-# Candidates a rejection sampler draws before giving up; acceptance falls
-# steeply with n, so an unbounded loop can spin for good on large inputs.
-REJECTION_TRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -199,39 +195,3 @@ def random_connected(n: int, seed: int, density: float = DEFAULT_DENSITY) -> Gra
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
     return Graph(n, tuple(rows))
-
-
-def random_chordal_dp(n: int, seed: int, density: float = DEFAULT_DENSITY) -> Graph:
-    """Rejection-sample a connected chordal dominating pair graph.
-
-    No direct sampler for the class is known; candidates come from
-    ``random_chordal`` and are kept when the recognizer accepts them.
-    Raises ResourceLimitError after ``REJECTION_TRIES`` rejected candidates.
-    """
-    from .recognition import is_chordal_dp_graph
-
-    rng = Random(seed)
-    for _ in range(REJECTION_TRIES):
-        g = random_chordal(n, rng.getrandbits(63), density)
-        if is_chordal_dp_graph(g).holds:
-            return g
-    raise ResourceLimitError(
-        f"no chordal dominating pair graph among {REJECTION_TRIES} candidates (n={n})"
-    )
-
-
-def random_weak_dp(n: int, seed: int, density: float = DEFAULT_DENSITY) -> Graph:
-    """Rejection-sample a connected graph possessing a dominating pair.
-
-    Raises ResourceLimitError after ``REJECTION_TRIES`` rejected candidates.
-    """
-    from .recognition import find_dominating_pair
-
-    rng = Random(seed)
-    for _ in range(REJECTION_TRIES):
-        g = random_connected(n, rng.getrandbits(63), density)
-        if find_dominating_pair(g) is not None:
-            return g
-    raise ResourceLimitError(
-        f"no graph with a dominating pair among {REJECTION_TRIES} candidates (n={n})"
-    )

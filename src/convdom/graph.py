@@ -88,9 +88,8 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> self.n:
                 raise InvalidVertexError(f"adjacency of {v} mentions ids >= {self.n}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
@@ -223,62 +222,19 @@ class Graph:
             return True
         return self.component_mask(0) == self.full_mask
 
-    def induced(self, mask: int) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph on ``mask`` plus the old-id of each new vertex."""
-        self.check_mask(mask)
-        keep = vertices_of(mask)
-        index = {old: new for new, old in enumerate(keep)}
-        rows = []
-        for old in keep:
-            row = 0
-            for w in iter_bits(self.adj[old] & mask):
-                row |= 1 << index[w]
-            rows.append(row)
-        return Graph(len(keep), tuple(rows)), keep
-
 
 # -- domination primitives -------------------------------------------------
 
 
-def closed_neighborhood(g: Graph, members: int) -> int:
-    """Union of closed neighborhoods over the vertex-set bitmask ``members``."""
-    g.check_mask(members)
-    out = members
-    for v in iter_bits(members):
-        out |= g.adj[v]
-    return out
-
-
 def is_dominating(g: Graph, members: int) -> bool:
     """True when every vertex of ``g`` lies in ``N[members]``."""
-    return closed_neighborhood(g, members) == g.full_mask
-
-
-def private_neighbors(g: Graph, u: int, members: int) -> int:
-    """Vertices ``w`` with ``N[w]`` meeting ``members`` exactly in ``{u}``."""
     g.check_mask(members)
-    g._check_vertex(u)
-    if not members >> u & 1:
-        raise PreconditionError(f"vertex {u} is not a member of the set")
-    want = 1 << u
-    out = 0
-    cadj = g.closed_adj
-    for w in range(g.n):
-        if cadj[w] & members == want:
-            out |= 1 << w
-    return out
-
-
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """The (cached) all-pairs shortest-path matrix of ``g``."""
-    return g.distances
-
-
-def diameter(g: Graph) -> float:
-    """Maximum distance over all pairs; ``INF`` when ``g`` is disconnected."""
-    return g.distances.diameter()
+    covered = members
+    for v in iter_bits(members):
+        covered |= g.adj[v]
+    return covered == g.full_mask
 
 
 def require_connected(g: Graph, what: str) -> None:
-    if not g.is_connected():
-        raise PreconditionError(f"{what} requires a connected graph")
+    if g.n == 0 or not g.is_connected():
+        raise PreconditionError(f"{what} requires a connected, non-empty graph")

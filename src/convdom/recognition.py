@@ -14,8 +14,7 @@ from .errors import SizeGuardError
 from .generators import make_A1, make_Bn
 from .graph import Graph, iter_bits, mask_of, require_connected, vertices_of
 
-MAX_CLIQUE_DEFAULT_BOUND = 32
-DP_BRUTEFORCE_DEFAULT_BOUND = 12
+DP_BRUTEFORCE_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -182,42 +181,7 @@ def is_chordal(g: Graph) -> ChordalityResult:
     return ChordalityResult(False, None, hole)
 
 
-# -- cliques and split graphs ------------------------------------------------
-
-
-def maximum_clique(g: Graph, bound: int = MAX_CLIQUE_DEFAULT_BOUND) -> int:
-    """A maximum clique as a bitmask, smallest mask among ties.
-
-    Exhaustive Bron-Kerbosch with pivoting; refuses graphs above ``bound``.
-    """
-    if g.n > bound:
-        raise SizeGuardError(f"maximum_clique bound {bound} exceeded (n={g.n})")
-    best_size = 0
-    best_mask = 0
-    adj = g.adj
-
-    def expand(r_mask: int, r_size: int, p: int, x: int) -> None:
-        nonlocal best_size, best_mask
-        if not p and not x:
-            if r_size > best_size or (r_size == best_size and r_mask < best_mask):
-                best_size, best_mask = r_size, r_mask
-            return
-        if r_size + p.bit_count() < best_size:
-            return
-        pivot = -1
-        pivot_gain = -1
-        for u in iter_bits(p | x):
-            gain = (adj[u] & p).bit_count()
-            if gain > pivot_gain:
-                pivot, pivot_gain = u, gain
-        for v in iter_bits(p & ~adj[pivot]):
-            bit = 1 << v
-            expand(r_mask | bit, r_size + 1, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
-
-    expand(0, 0, g.full_mask, 0)
-    return best_mask
+# -- split graphs ------------------------------------------------------------
 
 
 def split_partition(g: Graph) -> SplitPartition | None:
@@ -302,14 +266,16 @@ def find_dominating_pair(g: Graph) -> DominatingPair | None:
     return None
 
 
-def is_dp_graph_bruteforce(g: Graph, bound: int = DP_BRUTEFORCE_DEFAULT_BOUND) -> bool:
+def is_dp_graph_bruteforce(g: Graph) -> bool:
     """Definitional oracle: every connected induced subgraph has a pair,
     that is some x in it whose bad partners are not all of it.
 
-    Exponential in ``g.n``; refuses graphs above ``bound``.
+    Exponential in ``g.n``; refuses graphs above ``DP_BRUTEFORCE_BOUND``.
     """
-    if g.n > bound:
-        raise SizeGuardError(f"is_dp_graph_bruteforce bound {bound} exceeded (n={g.n})")
+    if g.n > DP_BRUTEFORCE_BOUND:
+        raise SizeGuardError(
+            f"is_dp_graph_bruteforce bound {DP_BRUTEFORCE_BOUND} exceeded (n={g.n})"
+        )
     for mask in range(1, g.full_mask + 1):
         low = mask & -mask
         if g.component_mask(low.bit_length() - 1, mask) != mask:

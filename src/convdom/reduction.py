@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domination import BRUTEFORCE_DEFAULT_BOUND, SolverResult, gamma_con_bruteforce
+from .domination import SolverResult, gamma_con_bruteforce
 from .errors import PreconditionError, SizeGuardError, WrongClassError
 from .graph import Graph, iter_bits, require_connected
 from .recognition import (
@@ -133,7 +133,7 @@ def _gamma_con_cached(g: Graph) -> SolverResult:
     # evicted first, so a long-lived process does not grow without bound.
     result = _GAMMA_CACHE.get(g)
     if result is None:
-        result = gamma_con_bruteforce(g, bound=BRUTEFORCE_DEFAULT_BOUND)
+        result = gamma_con_bruteforce(g)
         _GAMMA_CACHE[g] = result
         if len(_GAMMA_CACHE) > GAMMA_CACHE_SIZE:
             del _GAMMA_CACHE[next(iter(_GAMMA_CACHE))]

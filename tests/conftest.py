@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from convdom import (
@@ -12,6 +15,28 @@ from convdom import (
     random_interval,
     random_split,
 )
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the test once the block has run for ``seconds`` of wall time, so
+    a regression that would run for hours fails instead of hanging.
+
+    The failure is pytest's own outcome exception, a BaseException, so no
+    ``except OSError`` or ``except Exception`` in the code under test can
+    swallow it (TimeoutError would be caught as an OSError).
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"time limit of {seconds} s exceeded", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def named_fixture_graphs():

@@ -8,7 +8,7 @@ induced subgraphs are matched by raw permutation search.  Keep them dumb.
 from collections import deque
 from itertools import combinations, permutations
 
-from convdom import Graph, ResourceLimitError, is_dominating, iter_bits, mask_of, vertices_of
+from convdom import Graph, is_dominating, iter_bits, mask_of, vertices_of
 from convdom.convexity import convex_hull, is_convex, is_isometric
 
 
@@ -166,6 +166,10 @@ def shortest_path_by_parents(g: Graph, allowed: int, src: int, dst: int) -> tupl
     return None
 
 
+class PathSearchCapError(RuntimeError):
+    """The plain path DFS gave up after its expansion cap."""
+
+
 def shortest_path_by_dfs(
     g: Graph,
     a: int,
@@ -179,7 +183,7 @@ def shortest_path_by_dfs(
 
     A plain DFS over the layered shortest-path structure, pruned only when
     some vertex can no longer be dominated; it may revisit a step many
-    times, so it raises ResourceLimitError after ``cap`` expansions.
+    times, so it raises PathSearchCapError after ``cap`` expansions.
     """
     dist = g.distances
     da = dist[a]
@@ -203,7 +207,7 @@ def shortest_path_by_dfs(
         nonlocal expansions
         expansions += 1
         if expansions > cap:
-            raise ResourceLimitError(f"path search cap {cap} exhausted")
+            raise PathSearchCapError(f"path search cap {cap} exhausted")
         if i == length:
             return not full & ~(dominated | slack)
         for w in iter_bits(g.adj[u] & layers[i + 1]):

@@ -13,7 +13,6 @@ import pytest
 from convdom import (
     DominatingPair,
     Graph,
-    all_pairs_distances,
     convex_hull,
     gamma_con_bruteforce,
     gamma_con_hull4,
@@ -30,10 +29,8 @@ from convdom import (
     make_path,
     mask_of,
     random_chordal,
-    random_chordal_dp,
     random_interval,
     random_split,
-    random_weak_dp,
     split_partition,
     vertices_of,
 )
@@ -48,6 +45,7 @@ from oracles import (
     min_convex_superset,
     minimal_cd_sets,
 )
+from strategies import random_chordal_dp, random_weak_dp
 
 MASTER_SEED = 20250810
 
@@ -99,7 +97,7 @@ def iso_instances(weak_dp_corpus):
     rows = []
     for g in weak_dp_corpus:
         oracle = gamma_iso_bruteforce(g).value
-        dist = all_pairs_distances(g)
+        dist = g.distances
         for x in range(g.n):
             for y in range(x, g.n):
                 if not is_dominating_pair(g, x, y):

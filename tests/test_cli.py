@@ -21,6 +21,8 @@ from convdom import (
 from convdom.cli import _parser, main
 from convdom.edgelist import dump, parse, serialize
 
+from conftest import time_limit
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -153,13 +155,47 @@ def test_file_error_exit_code(capsys, files, tmp_path, argv):
     assert "Traceback" not in err
 
 
-def test_oracle_and_size_guard(capsys, files):
+def test_oracle_and_size_guard(capsys, files, tmp_path):
     code, record, _ = run_cli(capsys, "oracle", "convex", files["p4"])
     assert code == 0
     assert record["value"] == 2
-    code, record, _ = run_cli(capsys, "oracle", "isometric", files["p4"], "--oracle-bound", "3")
+    p15 = tmp_path / "p15.elist"
+    dump(make_path(15), p15)
+    code, record, err = run_cli(capsys, "oracle", "isometric", p15)
     assert code == 3
     assert record is None
+    assert err.startswith("size guard: ") and err.count("\n") == 1
+
+
+def test_empty_graph_is_refused(capsys, tmp_path):
+    empty = tmp_path / "empty.elist"
+    empty.write_text("0 0\n")
+    for argv in (
+        ("solve", "convex", empty),
+        ("solve", "isometric", empty),
+        ("oracle", "convex", empty),
+        ("oracle", "isometric", empty),
+        ("oracle", "domination", empty),
+        ("gadget", empty, "--k", "1"),
+        ("recognize", empty),
+    ):
+        code, record, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert record is None, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "non-empty" in err and "Traceback" not in err, argv
+
+
+def test_huge_edgeless_graph_is_refused_in_linear_time(capsys, tmp_path):
+    # a vertex-range check in Graph construction that is quadratic in n
+    # would take over a minute at this size
+    huge = tmp_path / "huge.elist"
+    huge.write_text("1000000 0\n")
+    with time_limit(10):
+        code, record, err = run_cli(capsys, "solve", "convex", huge)
+    assert code == 2
+    assert record is None
+    assert "connected" in err
 
 
 def test_gadget_command(capsys, files, tmp_path):
@@ -245,8 +281,12 @@ def test_module_entry_point(files):
 
 
 def test_unknown_flag_is_a_usage_error(files):
-    for kind, flag, value in (("convex", "--jobs", "2"), ("isometric", "--path-cap", "5")):
-        proc = run_module("solve", kind, files["p6"], flag, value)
+    for command, flag, value in (
+        (("solve", "convex"), "--jobs", "2"),
+        (("solve", "isometric"), "--path-cap", "5"),
+        (("oracle", "isometric"), "--oracle-bound", "3"),
+    ):
+        proc = run_module(*command, files["p6"], flag, value)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert flag in proc.stderr

@@ -12,7 +12,6 @@ from convdom import (
     PreconditionError,
     SizeGuardError,
     WrongClassError,
-    all_pairs_distances,
     convex_hull,
     find_dominating_pair,
     find_dominating_shortest_path,
@@ -36,7 +35,8 @@ from convdom import (
 )
 from convdom import records
 
-from convdom.domination import _hull_sweep, _search_shortest_path, _small_idset
+from convdom.domination import BRUTEFORCE_BOUND, _hull_sweep, _search_shortest_path, _small_idset
+from conftest import time_limit
 from oracles import (
     gamma_plain,
     hull_sweep_by_seeds,
@@ -93,10 +93,9 @@ def test_gamma_iso_bruteforce_examples():
 
 
 def test_bruteforce_guards():
-    with pytest.raises(SizeGuardError):
-        gamma_con_bruteforce(make_path(15))
-    with pytest.raises(SizeGuardError):
-        gamma_iso_bruteforce(make_path(15), bound=10)
+    for oracle in (gamma_bruteforce, gamma_con_bruteforce, gamma_iso_bruteforce):
+        with pytest.raises(SizeGuardError):
+            oracle(make_path(BRUTEFORCE_BOUND + 1))
     with pytest.raises(PreconditionError):
         gamma_con_bruteforce(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
@@ -253,7 +252,8 @@ def test_gamma_iso_on_diamond_chain(k):
     g, x, y = _diamond_chain(k)
     pair = find_dominating_pair(g)
     assert (pair.x, pair.y) == (x, y)
-    result = gamma_iso(g)
+    with time_limit(60):
+        result = gamma_iso(g)
     assert (result.value, result.stage) == (2 * k + 2, 3)
     assert result.certificate.dominating and result.certificate.isometric
 
@@ -424,7 +424,7 @@ def test_staged_solver_reaches_every_stage():
 def test_staged_values_are_pair_independent():
     for g in (staged_graph(), stage4_graph(), make_path(8)):
         oracle = gamma_iso_bruteforce(g).value
-        dist = all_pairs_distances(g)
+        dist = g.distances
         pairs = [
             (x, y)
             for x in range(g.n)

@@ -3,7 +3,6 @@ import pytest
 from convdom import (
     GenSpec,
     PreconditionError,
-    ResourceLimitError,
     is_chordal,
     is_chordal_dp_graph,
     is_dp_graph_bruteforce,
@@ -11,14 +10,15 @@ from convdom import (
     make_A1,
     make_Bn,
     random_chordal,
-    random_chordal_dp,
     random_connected,
     random_interval,
     random_split,
-    random_weak_dp,
     split_partition,
 )
 from convdom import recognition
+
+import strategies
+from strategies import random_chordal_dp, random_weak_dp
 
 
 def test_A1_shape():
@@ -97,12 +97,12 @@ def test_rejection_samplers():
 
 def test_rejection_samplers_give_up(monkeypatch):
     monkeypatch.setattr(
-        recognition, "is_chordal_dp_graph", lambda g: recognition.ChordalDpResult(False)
+        strategies, "is_chordal_dp_graph", lambda g: recognition.ChordalDpResult(False)
     )
-    monkeypatch.setattr(recognition, "find_dominating_pair", lambda g: None)
-    with pytest.raises(ResourceLimitError):
+    monkeypatch.setattr(strategies, "find_dominating_pair", lambda g: None)
+    with pytest.raises(RuntimeError, match="among 1000 candidates"):
         random_chordal_dp(6, 1)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(RuntimeError, match="among 1000 candidates"):
         random_weak_dp(6, 1)
 
 

@@ -7,17 +7,12 @@ from convdom import (
     Graph,
     INF,
     InvalidVertexError,
-    PreconditionError,
-    all_pairs_distances,
-    closed_neighborhood,
-    diameter,
     is_dominating,
     make_complete,
     make_cycle,
     make_path,
     make_star,
     mask_of,
-    private_neighbors,
     vertices_of,
 )
 
@@ -41,16 +36,29 @@ def test_construction_rejects_loops_and_duplicates():
 def test_construction_validates_symmetry():
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0b00))
+    for row in (0b100, -1):
+        with pytest.raises(InvalidVertexError):
+            Graph(2, (row, 0))
+
+
+def closed_neighborhood(g, members):
+    """N[members] as the union of the per-vertex closed neighborhoods."""
+    out = members
+    for v in vertices_of(members):
+        out |= g.closed_adj[v]
+    return out
 
 
 def test_closed_neighborhood_examples():
     p4 = make_path(4)
-    assert closed_neighborhood(p4, mask_of([1])) == mask_of([0, 1, 2])
-    assert closed_neighborhood(p4, 0) == 0
+    assert p4.closed_adj[1] == mask_of([0, 1, 2])
+    assert not is_dominating(p4, mask_of([1]))
+    assert not is_dominating(p4, 0)
     k4 = make_complete(4)
-    assert closed_neighborhood(k4, mask_of([0])) == k4.full_mask
+    assert k4.closed_adj[0] == k4.full_mask
+    assert is_dominating(k4, mask_of([0]))
     with pytest.raises(InvalidVertexError):
-        closed_neighborhood(p4, mask_of([4]))
+        is_dominating(p4, mask_of([4]))
 
 
 def test_is_dominating_examples():
@@ -65,42 +73,26 @@ def test_is_dominating_examples():
     assert is_dominating(c6, mask_of([0, 3]))
 
 
-def test_private_neighbors_examples():
-    p4 = make_path(4)
-    # oracle: check N[w] & X == {u} for every w explicitly
-    expected = mask_of(
-        w for w in range(4) if p4.closed_adj[w] & mask_of([1, 2]) == mask_of([1])
-    )
-    assert expected == mask_of([0])
-    assert private_neighbors(p4, 1, mask_of([1, 2])) == mask_of([0])
-    k3 = make_complete(3)
-    assert private_neighbors(k3, 0, mask_of([0, 1])) == 0
-    p3 = make_path(3)
-    assert private_neighbors(p3, 1, mask_of([1])) == mask_of([0, 1, 2])
-    with pytest.raises(PreconditionError):
-        private_neighbors(p4, 0, mask_of([1, 2]))
-
-
 def test_distances_examples():
-    assert all_pairs_distances(make_path(4)).d(0, 3) == 3
-    c6 = all_pairs_distances(make_cycle(6))
+    assert make_path(4).distances.d(0, 3) == 3
+    c6 = make_cycle(6).distances
     assert c6.d(0, 3) == 3
     assert c6.d(0, 2) == 2
     two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert all_pairs_distances(two_edges).d(0, 2) == INF
+    assert two_edges.distances.d(0, 2) == INF
 
 
 def test_diameter_examples():
-    assert diameter(make_complete(5)) == 1
-    assert diameter(make_path(6)) == 5
-    assert diameter(make_cycle(7)) == 7 // 2
-    assert diameter(Graph.from_edges(4, [(0, 1), (2, 3)])) == INF
-    assert diameter(make_path(1)) == 0
+    assert make_complete(5).distances.diameter() == 1
+    assert make_path(6).distances.diameter() == 5
+    assert make_cycle(7).distances.diameter() == 7 // 2
+    assert Graph.from_edges(4, [(0, 1), (2, 3)]).distances.diameter() == INF
+    assert make_path(1).distances.diameter() == 0
 
 
 def test_distance_matrix_metric_axioms(corpus):
     for _name, g in corpus:
-        dist = all_pairs_distances(g)
+        dist = g.distances
         for u in range(g.n):
             assert dist.d(u, u) == 0
             for v in range(g.n):
@@ -116,7 +108,9 @@ def test_closed_neighborhood_is_extensive(corpus):
     for _name, g in corpus:
         for _ in range(5):
             members = mask_of(v for v in range(g.n) if rng.random() < 0.4)
-            assert members & ~closed_neighborhood(g, members) == 0
+            covered = closed_neighborhood(g, members)
+            assert members & ~covered == 0
+            assert is_dominating(g, members) == (covered == g.full_mask)
 
 
 def test_whole_vertex_set_dominates(corpus):

@@ -22,12 +22,11 @@ from convdom import (
     make_path,
     make_star,
     mask_of,
-    maximum_clique,
     split_partition,
     vertices_of,
     verify_witness,
 )
-from convdom.recognition import _bad_partners
+from convdom.recognition import DP_BRUTEFORCE_BOUND, _bad_partners
 
 from oracles import (
     all_cliques_of_maximum_size,
@@ -92,24 +91,7 @@ def test_chordality_agrees_with_induced_cycle_search(corpus):
             _check_hole(g, verdict.hole)
 
 
-# -- cliques and split partitions ----------------------------------------------
-
-
-def test_maximum_clique_examples():
-    assert maximum_clique(make_complete(4)) == mask_of([0, 1, 2, 3])
-    assert maximum_clique(make_cycle(5)) == mask_of([0, 1])
-    leafy = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-    assert maximum_clique(leafy) == mask_of([0, 1, 2])
-    with pytest.raises(SizeGuardError):
-        maximum_clique(make_path(5), bound=4)
-
-
-def test_maximum_clique_against_enumeration(corpus):
-    for name, g in corpus:
-        if g.n > 9:
-            continue
-        expected = min(all_cliques_of_maximum_size(g))
-        assert maximum_clique(g) == expected, name
+# -- split partitions ----------------------------------------------------------
 
 
 def test_split_partition_examples():
@@ -299,7 +281,7 @@ def test_dp_bruteforce_examples():
     assert not is_dp_graph_bruteforce(make_A1())
     assert is_dp_graph_bruteforce(make_complete(5))
     with pytest.raises(SizeGuardError):
-        is_dp_graph_bruteforce(make_path(13), bound=12)
+        is_dp_graph_bruteforce(make_path(DP_BRUTEFORCE_BOUND + 1))
 
 
 def test_forbidden_characterization_matches_bruteforce(corpus):

@@ -108,9 +108,9 @@ def test_gamma_cache_is_bounded(monkeypatch):
 def test_k_sweep_solves_each_side_once(monkeypatch):
     calls = []
 
-    def counting(g, bound):
+    def counting(g):
         calls.append(g)
-        return gamma_con_bruteforce(g, bound=bound)
+        return gamma_con_bruteforce(g)
 
     monkeypatch.setattr(reduction, "gamma_con_bruteforce", counting)
     monkeypatch.setattr(reduction, "_GAMMA_CACHE", {})

@@ -15,6 +15,7 @@ from convdom import (
     gamma_iso_pair,
     is_chordal,
     is_dominating_pair,
+    iter_bits,
     make_A1,
     make_Bn,
     mask_of,
@@ -51,8 +52,16 @@ def test_pair_existence_from_bad_partners_matches_plain_scan():
 
 
 def _induced_with_pair(g, mask, x, y):
-    sub, old_ids = g.induced(mask)
-    return sub, old_ids.index(x), old_ids.index(y)
+    """The subgraph induced by ``mask``, renumbered, with x and y renumbered too."""
+    keep = vertices_of(mask)
+    index = {old: new for new, old in enumerate(keep)}
+    rows = []
+    for old in keep:
+        row = 0
+        for w in iter_bits(g.adj[old] & mask):
+            row |= 1 << index[w]
+        rows.append(row)
+    return Graph(len(keep), tuple(rows)), index[x], index[y]
 
 
 def test_chordality_on_a_larger_random_batch():
