@@ -26,7 +26,7 @@ STAGE4_EDGES = [
 
 def show(name, g, x, y):
     assert is_dominating_pair(g, x, y)
-    d = int(g.distances.d(x, y))
+    d = g.distances[x][y]
     result = gamma_iso_pair(g, DominatingPair(x, y, True))
     oracle = gamma_iso_bruteforce(g).value
     print(f"{name}: pair ({x},{y}) at distance {d}")

@@ -6,12 +6,11 @@ split-graph hardness gadget, and brute-force oracles that cross-check
 everything at desk scale.
 """
 
-from .convexity import HullTrace, convex_hull, interval, is_convex, is_isometric
+from .convexity import HullTrace, convex_hull, is_convex, is_isometric
 from .domination import (
     Certificate,
     SolverResult,
     certify,
-    find_dominating_shortest_path,
     gamma_bruteforce,
     gamma_con_bruteforce,
     gamma_con_hull4,
@@ -19,7 +18,7 @@ from .domination import (
     gamma_iso_bruteforce,
     gamma_iso_pair,
 )
-from .edgelist import dump, load, parse, serialize
+from .edgelist import dump, parse, serialize
 from .errors import (
     ConvdomError,
     InvalidVertexError,
@@ -43,15 +42,7 @@ from .generators import (
     random_interval,
     random_split,
 )
-from .graph import (
-    INF,
-    DistanceMatrix,
-    Graph,
-    is_dominating,
-    iter_bits,
-    mask_of,
-    vertices_of,
-)
+from .graph import Graph, is_dominating, iter_bits, mask_of, vertices_of
 from .recognition import (
     ChordalDpResult,
     ChordalityResult,
@@ -70,4 +61,4 @@ from .recognition import (
 )
 from .reduction import EquivalenceReport, GadgetOutput, build_np_gadget, verify_gadget_equivalence
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import edgelist, records
@@ -77,15 +78,31 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: Path) -> tuple[Graph, bytes]:
-    data = path.read_bytes()
-    return edgelist.parse(edgelist.decode(data)), data
+class _FileError(Exception):
+    """An input that cannot be read or an ``--out`` that cannot be written."""
+
+
+@contextmanager
+def _file_access():
+    """Report an OSError raised inside the block as a file error."""
+    try:
+        yield
+    except OSError as exc:
+        raise _FileError(exc) from exc
+
+
+def _load(command: str, path: Path) -> tuple[Graph, dict]:
+    """The graph in ``path`` and the start of its record."""
+    with _file_access():
+        data = path.read_bytes()
+    g = edgelist.parse(edgelist.decode(data))
+    record = records.base_record(command, path, data)
+    record["graph"] = {"n": g.n, "m": g.edge_count}
+    return g, record
 
 
 def _cmd_solve(args) -> dict:
-    g, data = _load(args.input)
-    record = records.base_record(f"solve {args.kind}", args.input, data)
-    record["graph"] = {"n": g.n, "m": g.edge_count}
+    g, record = _load(f"solve {args.kind}", args.input)
     if args.kind == "convex":
         record["class_check"] = "assumed" if args.trust_class else "verified"
         result = gamma_con_hull4(g, trust=args.trust_class)
@@ -105,9 +122,7 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_recognize(args) -> dict:
-    g, data = _load(args.input)
-    record = records.base_record("recognize", args.input, data)
-    record["graph"] = {"n": g.n, "m": g.edge_count}
+    g, record = _load("recognize", args.input)
     chordality = is_chordal(g)
     record["chordal"] = chordality.chordal
     if chordality.hole is not None:
@@ -135,9 +150,7 @@ def _cmd_recognize(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
-    g, data = _load(args.input)
-    record = records.base_record(f"oracle {args.kind}", args.input, data)
-    record["graph"] = {"n": g.n, "m": g.edge_count}
+    g, record = _load(f"oracle {args.kind}", args.input)
     solver = {
         "convex": gamma_con_bruteforce,
         "isometric": gamma_iso_bruteforce,
@@ -150,9 +163,7 @@ def _cmd_oracle(args) -> dict:
 
 
 def _cmd_gadget(args) -> dict:
-    g, data = _load(args.input)
-    record = records.base_record("gadget", args.input, data)
-    record["graph"] = {"n": g.n, "m": g.edge_count}
+    g, record = _load("gadget", args.input)
     report = verify_gadget_equivalence(g, args.k)
     gadget = report.gadget
     out = args.out or args.input.with_suffix(".gadget.elist")
@@ -162,7 +173,8 @@ def _cmd_gadget(args) -> dict:
         f"gadget of {name}: x={gadget.x} y={gadget.y} y_prime={gadget.y_prime}",
         "source_map " + " ".join(f"{i}->{v}" for i, v in enumerate(gadget.source_map)),
     )
-    edgelist.dump(gadget.graph, out, comments)
+    with _file_access():
+        edgelist.dump(gadget.graph, out, comments)
     record["gadget_file"] = str(out)
     record["x"] = gadget.x
     record["y"] = gadget.y
@@ -182,7 +194,9 @@ def _cmd_generate(args) -> dict:
     spec = GenSpec(args.family, args.n, args.seed, args.density)
     g = spec.build()
     out = args.out or Path(spec.filename())
-    edgelist.dump(g, out)
+    with _file_access():
+        edgelist.dump(g, out)
+        file_sha256 = records.digest(out.read_bytes())
     record = records.base_record("generate", None, None)
     record["family"] = spec.family
     record["n"] = spec.n
@@ -192,7 +206,7 @@ def _cmd_generate(args) -> dict:
     record["file"] = str(out)
     record["vertices"] = g.n
     record["edges"] = g.edge_count
-    record["file_sha256"] = records.digest(out.read_bytes())
+    record["file_sha256"] = file_sha256
     _summary(f"{spec.family} fixture with {g.n} vertices written to {out}")
     return record
 
@@ -225,7 +239,7 @@ def main(argv=None) -> int:
     except ConvdomError as exc:
         _summary(f"error: {exc}")
         return 2
-    except OSError as exc:
+    except _FileError as exc:
         _summary(f"file error: {exc}")
         return 2
     record["timings"] = {"seconds": round(time.perf_counter() - started, 6)}

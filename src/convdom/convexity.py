@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoPathError, PreconditionError
-from .graph import INF, Graph, iter_bits, vertices_of
+from .graph import Graph, iter_bits, vertices_of
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,6 @@ class HullTrace:
         return tuple(out)
 
 
-def interval(g: Graph, u: int, v: int) -> int:
-    """All vertices on some shortest ``u,v``-path, as a bitmask."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if g.distances.d(u, v) == INF:
-        raise NoPathError(f"vertices {u} and {v} lie in different components")
-    return g.interval_masks[u][v]
-
-
 def convex_hull(g: Graph, seed: int) -> HullTrace:
     """Smallest convex superset of ``seed``, with the closure trace.
 
@@ -58,11 +49,8 @@ def convex_hull(g: Graph, seed: int) -> HullTrace:
     g.check_mask(seed)
     if seed == 0:
         raise PreconditionError("convex hull of an empty set is undefined")
-    members = vertices_of(seed)
-    first = members[0]
-    for v in members[1:]:
-        if g.distances.d(first, v) == INF:
-            raise NoPathError("hull seed spans more than one component")
+    if seed & ~g.component_mask((seed & -seed).bit_length() - 1):
+        raise NoPathError("hull seed spans more than one component")
 
     return HullTrace((seed, *closure(g.interval_masks, seed, seed)))
 
@@ -123,6 +111,6 @@ def is_isometric(g: Graph, members: int) -> bool:
             reached |= layer
         # members unreachable inside the set must be unreachable in g too
         for w in iter_bits(members & ~reached):
-            if row[w] != INF:
+            if row[w] >= 0:
                 return False
     return True

@@ -204,26 +204,6 @@ def _hull_sweep(g: Graph) -> tuple[int, int, int] | None:
 # -- dominating shortest-path search -------------------------------------------
 
 
-def find_dominating_shortest_path(
-    g: Graph,
-    a: int,
-    b: int,
-    length: int,
-) -> tuple[int, ...] | None:
-    """First dominating shortest ``a,b``-path in lexicographic DFS order.
-
-    Explores the layered shortest-path structure between ``a`` and ``b``
-    with domination-feasibility pruning, entering each edge of that
-    structure at most once (see ``_search_shortest_path``), so the search
-    is polynomial.  Returns None when no shortest path dominates.
-    """
-    g._check_vertex(a)
-    g._check_vertex(b)
-    if g.distances.d(a, b) != length:
-        raise PreconditionError(f"d({a},{b}) != {length}")
-    return _search_shortest_path(g, a, b, length, 0)
-
-
 def _search_shortest_path(
     g: Graph,
     a: int,
@@ -232,7 +212,8 @@ def _search_shortest_path(
     allowed_undominated: int,
 ) -> tuple[int, ...] | None:
     """First shortest ``a,b``-path, in lexicographic DFS order, whose closed
-    neighborhood covers every vertex outside ``allowed_undominated``.
+    neighborhood covers every vertex outside ``allowed_undominated``; None
+    when there is none.  ``length`` must be d(a, b).
 
     A step appends w at position i + 1 unless some vertex outside the slack
     is left that neither the prefix nor any layer from i + 2 on can
@@ -253,7 +234,7 @@ def _search_shortest_path(
     layers = [0] * (length + 1)
     for w in range(g.n):
         if da[w] + db[w] == length:
-            layers[int(da[w])] |= 1 << w
+            layers[da[w]] |= 1 << w
     suffix = [0] * (length + 2)
     for i in range(length, -1, -1):
         union = 0
@@ -305,7 +286,7 @@ def _small_idset(g: Graph) -> tuple[int, int] | None:
     level by level by adjoining a neighbor, and at each level the
     dominating ones are tried in lexicographic order.
     """
-    if g.distances.diameter() > 5:
+    if max(map(max, g.distances)) > 5:
         return None
     cadj = g.closed_adj
     full = g.full_mask
@@ -353,7 +334,8 @@ def gamma_iso_pair(g: Graph, pair: DominatingPair) -> SolverResult:
         value, witness = small
         return SolverResult(value, witness, "staged-iso", certify(g, witness), stage=1)
 
-    d = int(g.distances.d(x, y))
+    dist = g.distances
+    d = dist[x][y]
     if d < 4:
         raise RuntimeError("no small ID-set although d(x,y) <= 3")
     s = d - 2
@@ -362,8 +344,7 @@ def gamma_iso_pair(g: Graph, pair: DominatingPair) -> SolverResult:
     ny_mask = g.adj[y]
     nx = tuple(iter_bits(nx_mask))
     ny = tuple(iter_bits(ny_mask))
-    dist = g.distances
-    near = [(a, b) for a in nx for b in ny if dist.d(a, b) == s]
+    near = [(a, b) for a in nx for b in ny if dist[a][b] == s]
     # (stage, a, b, length, tolerated leftovers, adjoined endpoint), in the
     # order the stages are tried; the first path found decides
     tasks = [(2, a, b, s, 0, None) for a, b in near]
@@ -372,7 +353,7 @@ def gamma_iso_pair(g: Graph, pair: DominatingPair) -> SolverResult:
         for a, b in near
         for slack, endpoint in ((nx_mask, x), (ny_mask, y))
     ]
-    tasks += [(4, a, b, s + 1, 0, None) for a in nx for b in ny if dist.d(a, b) == s + 1]
+    tasks += [(4, a, b, s + 1, 0, None) for a in nx for b in ny if dist[a][b] == s + 1]
     # a shortest x,y-path always remains an isometric dominating set
     tasks.append((5, x, y, d, g.full_mask, None))
     for stage, a, b, length, slack, endpoint in tasks:

@@ -91,11 +91,6 @@ def decode(data: bytes) -> str:
         raise ParseError(f"not ASCII: {exc.reason}", 1, 1) from None
 
 
-def load(path: str | os.PathLike) -> Graph:
-    with open(path, "rb") as fh:
-        return parse(decode(fh.read()))
-
-
 def dump(g: Graph, path: str | os.PathLike, comments: tuple[str, ...] = ()) -> None:
     """Write ``serialize(g, comments)`` to ``path``; a rejected comment
     raises before the file is opened."""

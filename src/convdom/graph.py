@@ -9,14 +9,11 @@ convert between masks and ordinary collections.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InvalidVertexError, PreconditionError
-
-INF = math.inf
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -42,42 +39,13 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class DistanceMatrix:
-    """All-pairs shortest-path hop counts, ``INF`` marking unreachable pairs."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, rows: tuple[tuple[float, ...], ...]) -> None:
-        self.n = len(rows)
-        self.rows = rows
-
-    def d(self, u: int, v: int) -> float:
-        return self.rows[u][v]
-
-    def __getitem__(self, u: int) -> tuple[float, ...]:
-        return self.rows[u]
-
-    def diameter(self) -> float:
-        """Largest entry; ``INF`` as soon as some pair is unreachable."""
-        if self.n == 0:
-            return 0
-        worst = 0
-        for row in self.rows:
-            m = max(row)
-            if m == INF:
-                return INF
-            if m > worst:
-                worst = m
-        return worst
-
-
 @dataclass(frozen=True)
 class Graph:
     """A finite simple undirected graph over vertex ids ``0..n-1``.
 
     ``adj[v]`` is the open neighborhood of ``v`` as a bitmask.  Instances
     are immutable (and hashable), so derived tables such as the distance
-    matrix are computed lazily once and shared safely across threads.
+    table are computed lazily once and shared safely across threads.
     """
 
     n: int
@@ -152,19 +120,17 @@ class Graph:
     # -- distances --------------------------------------------------------
 
     @cached_property
-    def distances(self) -> DistanceMatrix:
-        """All-pairs BFS distances, computed once per graph."""
+    def distances(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs BFS hop counts, computed once per graph: ``[u][v]`` is
+        the length of a shortest ``u,v``-path, -1 across components."""
         rows = []
         for src in range(self.n):
-            rows.append(tuple(self._bfs_row(src)))
-        return DistanceMatrix(tuple(rows))
-
-    def _bfs_row(self, src: int) -> list[float]:
-        row: list[float] = [INF] * self.n
-        for d, layer in enumerate(self.layers(src)):
-            for v in iter_bits(layer):
-                row[v] = d
-        return row
+            row = [-1] * self.n
+            for d, layer in enumerate(self.layers(src)):
+                for v in iter_bits(layer):
+                    row[v] = d
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def layers(self, src: int, within: int | None = None) -> Iterator[int]:
         """Yield the breadth-first layers from ``src`` as bitmasks.
@@ -194,7 +160,7 @@ class Graph:
             du = dist[u]
             for v in range(u, self.n):
                 duv = du[v]
-                if duv == INF:
+                if duv < 0:
                     continue
                 dv = dist[v]
                 m = 0

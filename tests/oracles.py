@@ -132,6 +132,29 @@ def bfs_distances(g: Graph, src: int, within: int) -> dict[int, int]:
     return dist
 
 
+def interval_by_queue_distances(g: Graph, u: int, v: int) -> int:
+    """Vertices w with d(u, w) + d(w, v) = d(u, v), all by queue BFS; 0 when
+    ``u`` and ``v`` lie in different components."""
+    du = bfs_distances(g, u, g.full_mask)
+    dv = bfs_distances(g, v, g.full_mask)
+    if v not in du:
+        return 0
+    return mask_of(w for w in du if w in dv and du[w] + dv[w] == du[v])
+
+
+def hull_by_queue_intervals(g: Graph, seed: int) -> int:
+    """Add every queue-BFS interval between members until nothing changes."""
+    hull = seed
+    while True:
+        grown = hull
+        for u in iter_bits(hull):
+            for v in iter_bits(hull):
+                grown |= interval_by_queue_distances(g, u, v)
+        if grown == hull:
+            return hull
+        hull = grown
+
+
 def isometric_by_induced_distances(g: Graph, members: int) -> bool:
     """Every member pair is as far apart inside ``members`` as in ``g``,
     unreachable counting as equal only to unreachable."""
@@ -191,7 +214,7 @@ def shortest_path_by_dfs(
     layers = [0] * (length + 1)
     for w in range(g.n):
         if da[w] + db[w] == length:
-            layers[int(da[w])] |= 1 << w
+            layers[da[w]] |= 1 << w
     suffix = [0] * (length + 2)
     for i in range(length, -1, -1):
         union = 0

@@ -28,6 +28,15 @@ def connected_graphs(draw, max_n=12):
     return Graph.from_edges(n, edges)
 
 
+@st.composite
+def two_component_graphs(draw, max_n=6):
+    """The disjoint union of two connected graphs, the second one's ids
+    shifted past the first's."""
+    left = draw(connected_graphs(max_n))
+    right = draw(connected_graphs(max_n))
+    return Graph(left.n + right.n, left.adj + tuple(row << left.n for row in right.adj))
+
+
 def random_chordal_dp(n: int, seed: int, density: float = 0.5) -> Graph:
     """Rejection-sample a connected chordal dominating pair graph.
 

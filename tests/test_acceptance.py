@@ -104,7 +104,7 @@ def iso_instances(weak_dp_corpus):
                     continue
                 staged = gamma_iso_pair(g, DominatingPair(x, y, True))
                 assert staged.certificate.dominating and staged.certificate.isometric
-                rows.append((g, x, y, int(dist.d(x, y)), staged.value, oracle))
+                rows.append((g, x, y, dist[x][y], staged.value, oracle))
     return rows
 
 

@@ -18,6 +18,7 @@ from convdom import (
     make_star,
     mask_of,
 )
+from convdom import cli
 from convdom.cli import _parser, main
 from convdom.edgelist import dump, parse, serialize
 
@@ -153,6 +154,17 @@ def test_file_error_exit_code(capsys, files, tmp_path, argv):
     assert record is None
     assert err.startswith("file error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_errors_inside_a_command_are_not_file_errors(capsys, files, monkeypatch):
+    # TimeoutError is an OSError, but it is not about the input or --out
+    def expire(g, trust=False):
+        raise TimeoutError("solver ran out of time")
+
+    monkeypatch.setattr(cli, "gamma_con_hull4", expire)
+    with pytest.raises(TimeoutError):
+        main(["solve", "convex", str(files["p4"])])
+    assert "file error:" not in capsys.readouterr().err
 
 
 def test_oracle_and_size_guard(capsys, files, tmp_path):

@@ -6,7 +6,6 @@ from convdom import (
     NoPathError,
     PreconditionError,
     convex_hull,
-    interval,
     is_convex,
     is_isometric,
     make_complete,
@@ -21,27 +20,28 @@ from oracles import connected_in, min_convex_superset
 
 
 def test_interval_examples():
-    c4 = make_cycle(4)
-    assert interval(c4, 0, 2) == c4.full_mask
-    assert interval(c4, 0, 1) == mask_of([0, 1])
-    p4 = make_path(4)
-    assert interval(p4, 0, 3) == p4.full_mask
-    assert interval(p4, 1, 1) == mask_of([1])
+    c4 = make_cycle(4).interval_masks
+    assert c4[0][2] == mask_of([0, 1, 2, 3])
+    assert c4[0][1] == mask_of([0, 1])
+    p4 = make_path(4).interval_masks
+    assert p4[0][3] == mask_of([0, 1, 2, 3])
+    assert p4[1][1] == mask_of([1])
 
 
 def test_interval_symmetry_and_endpoints(connected_corpus):
     for _name, g in connected_corpus:
+        table = g.interval_masks
         for u in range(g.n):
             for v in range(u, g.n):
-                got = interval(g, u, v)
-                assert got == interval(g, v, u)
+                got = table[u][v]
+                assert got == table[v][u]
                 assert got & mask_of([u, v]) == mask_of([u, v])
 
 
 def test_interval_requires_same_component():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(NoPathError):
-        interval(g, 0, 2)
+    table = Graph.from_edges(4, [(0, 1), (2, 3)]).interval_masks
+    assert table[0][2] == table[2][0] == 0
+    assert table[2][3] == mask_of([2, 3])
 
 
 def test_hull_examples():
@@ -87,7 +87,7 @@ def test_hull_trace_is_strictly_increasing_chain(connected_corpus):
 def test_is_convex_examples():
     c6 = make_cycle(6)
     arc = mask_of([0, 1, 2])
-    assert all(interval(c6, u, v) & ~arc == 0
+    assert all(c6.interval_masks[u][v] & ~arc == 0
                for u in vertices_of(arc) for v in vertices_of(arc))
     assert is_convex(c6, arc)
     assert not is_convex(make_cycle(4), mask_of([0, 2]))

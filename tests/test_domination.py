@@ -14,7 +14,6 @@ from convdom import (
     WrongClassError,
     convex_hull,
     find_dominating_pair,
-    find_dominating_shortest_path,
     gamma_bruteforce,
     gamma_con_bruteforce,
     gamma_con_hull4,
@@ -198,12 +197,10 @@ def spider5():
 
 
 def test_find_dominating_shortest_path_examples():
-    assert find_dominating_shortest_path(make_path(6), 1, 4, 3) == (1, 2, 3, 4)
-    assert find_dominating_shortest_path(make_cycle(6), 0, 3, 3) == (0, 1, 2, 3)
+    assert _search_shortest_path(make_path(6), 1, 4, 3, 0) == (1, 2, 3, 4)
+    assert _search_shortest_path(make_cycle(6), 0, 3, 3, 0) == (0, 1, 2, 3)
     # the unique shortest 0,3-path of C7 leaves vertex 5 undominated
-    assert find_dominating_shortest_path(make_cycle(7), 0, 3, 3) is None
-    with pytest.raises(PreconditionError):
-        find_dominating_shortest_path(make_path(6), 0, 5, 4)
+    assert _search_shortest_path(make_cycle(7), 0, 3, 3, 0) is None
 
 
 @st.composite
@@ -224,11 +221,10 @@ def _path_searches(draw):
 @given(_path_searches())
 def test_path_search_matches_plain_dfs(search):
     g, a, b, slack = search
-    length = int(g.distances.d(a, b))
-    expected = shortest_path_by_dfs(g, a, b, length, slack)
-    assert _search_shortest_path(g, a, b, length, slack) == expected
-    if slack == 0:
-        assert find_dominating_shortest_path(g, a, b, length) == expected
+    length = g.distances[a][b]
+    assert _search_shortest_path(g, a, b, length, slack) == shortest_path_by_dfs(
+        g, a, b, length, slack
+    )
 
 
 def _diamond_chain(k):
@@ -328,7 +324,7 @@ def test_small_idset_matches_exhaustion_on_larger_graphs():
             g = _sweep_interval_graph(n, rng, 2 + i // 2 % 6)
         small = _small_idset(g)
         assert small == small_idset_by_exhaustion(g), i
-        diameters.add(g.distances.diameter())
+        diameters.add(max(map(max, g.distances)))
         found.add(small is not None)
     assert {4, 5} <= diameters and max(diameters) > 5
     assert found == {True, False}
@@ -435,7 +431,7 @@ def test_staged_values_are_pair_independent():
         for x, y in pairs:
             result = gamma_iso_pair(g, DominatingPair(x, y, True))
             assert result.value == oracle, (x, y)
-            assert dist.d(x, y) - 1 <= result.value <= dist.d(x, y) + 1
+            assert dist[x][y] - 1 <= result.value <= dist[x][y] + 1
 
 
 def test_gamma_iso_entry_point():

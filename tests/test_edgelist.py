@@ -1,7 +1,7 @@
 import pytest
 
 from convdom import Graph, ParseError, PreconditionError, make_Bn, make_cycle, make_path
-from convdom.edgelist import decode, dump, load, parse, serialize
+from convdom.edgelist import decode, dump, parse, serialize
 
 
 def test_parse_basic():
@@ -71,6 +71,11 @@ def test_parse_error_column_is_the_tokens_own(text, line, column):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.line, err.value.column) == (line, column)
+
+
+def load(path):
+    """Read an edge-list file the way the command line does."""
+    return parse(decode(path.read_bytes()))
 
 
 def test_file_round_trip(tmp_path):
